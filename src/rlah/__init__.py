@@ -6,8 +6,8 @@ limit, mode location, precise large deviations) live on the floating side
 and are compared against certified exact prefixes of the distribution.  Two
 application layers consume the exact core: expected face counts of cones
 generated by random walks, and unique-recovery probabilities for sparse
-monotone signals, each with a Monte Carlo verifier built on an exact
-rational simplex.
+monotone signals, each with a Monte Carlo verifier built on exact integer
+elimination and an exact rational simplex.
 """
 
 from .asymptotics import (

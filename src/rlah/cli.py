@@ -22,17 +22,8 @@ from fractions import Fraction
 from typing import IO, List, Sequence
 
 from . import asymptotics, cones, distribution, montecarlo, stirling
-from .errors import (
-    CapacityExceeded,
-    DegenerateSample,
-    DomainError,
-    InadmissibleParameters,
-    InvalidParameter,
-    RLahError,
-)
+from .errors import CapacityExceeded, InvalidParameter, RLahError
 from .rational import as_rational, format_rational
-
-_VALIDATION_ERRORS = (InvalidParameter, InadmissibleParameters, DomainError, DegenerateSample)
 
 
 def _emit_rows(out: IO[str], fmt: str, fieldnames: Sequence[str], rows: List[dict]) -> None:
@@ -59,24 +50,39 @@ def _emit_value(out: IO[str], fmt: str, value: Fraction) -> None:
     _emit_record(out, fmt, {"value": format_rational(value)})
 
 
+def _parse(convert, text: str, what: str):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise InvalidParameter(f"cannot parse {what} from {text!r}") from exc
+
+
 def _int_list(text: str) -> List[int]:
-    return [int(part) for part in text.split(",") if part]
+    return [_parse(int, part, "an integer") for part in text.split(",") if part]
 
 
 def _float_list(text: str) -> List[float]:
-    return [float(part) for part in text.split(",") if part]
+    return [_parse(float, part, "a number") for part in text.split(",") if part]
 
 
 def _range(text: str) -> range:
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
+        return range(_parse(int, lo, "a range bound"), _parse(int, hi, "a range bound") + 1)
+    v = _parse(int, text, "an integer")
     return range(v, v + 1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as InvalidParameter, so they get an error record."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise InvalidParameter(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rlah", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="rlah", description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write output to this file instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default: csv for tables, json for records)")
@@ -274,21 +280,23 @@ def _run(args: argparse.Namespace, out: IO[str]) -> None:
         raise InvalidParameter(f"unknown command {args.command!r}")
 
 
+def _error(out: IO[str], exc: RLahError) -> int:
+    _emit_record(out, "json", {"error": str(exc), "kind": type(exc).__name__})
+    return 3 if isinstance(exc, CapacityExceeded) else 2
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = open(args.out, "w") if args.out else sys.stdout
+    try:
+        args = build_parser().parse_args(argv)
+        out = open(args.out, "w") if args.out else sys.stdout
+    except InvalidParameter as exc:
+        return _error(sys.stdout, exc)
+    except OSError as exc:
+        return _error(sys.stdout, InvalidParameter(f"cannot open the --out file: {exc}"))
     try:
         _run(args, out)
-    except _VALIDATION_ERRORS as exc:
-        _emit_record(out, "json", {"error": str(exc), "kind": type(exc).__name__})
-        return 2
-    except CapacityExceeded as exc:
-        _emit_record(out, "json", {"error": str(exc), "kind": type(exc).__name__})
-        return 3
     except RLahError as exc:
-        _emit_record(out, "json", {"error": str(exc), "kind": type(exc).__name__})
-        return 2
+        return _error(out, exc)
     finally:
         if args.out:
             out.close()

@@ -2,17 +2,30 @@
 
 Walk increments and measurement matrices are drawn as binary64 Gaussians and
 promoted to exact dyadic rationals; every geometric decision after that point
-is exact (rank checks by rational elimination, face and uniqueness tests by
-the exact simplex of :mod:`rlah.simplex`).  There are no tolerances to tune,
-and genericity violations are detectable as exact rank deficiencies, which
-are rejected, redrawn and counted.
+is exact.  A walk's partial sums are scaled once, by the common denominator
+of their entries (a power of two), to integer rows S', and one fraction-free
+elimination routine in the style of Bareiss serves the rank checks, the
+kernel bases and the small solves on those integers.  There are no
+tolerances to tune, and genericity violations are detectable as exact rank
+deficiencies, which are rejected, redrawn and counted.
 
 A subset A of generators spans a k-face of the cone iff it is independent
-and some functional vanishes on A while being strictly negative on the rest;
-strictness is encoded conically as <= -1.  Uniqueness of monotone-signal
-recovery is decided on the kernel polytope K = {w : x + N w in B^(n)}: K
-contains 0 always, and equals {0} iff each kernel coordinate has maximum and
-minimum 0 over K (unboundedness counting as failure).
+and some functional u vanishes on A while being strictly negative on the
+rest; strictness is encoded conically as S_j u <= -1.  Only u in the span V
+of the sums matters, and within V the set P = {u : S_A u = 0, S_j u <= -1
+off A} has no lineality, so when it is nonempty it has a vertex, where
+g = rank(S) - k of its inequality rows are tight.  With u = N w, N an
+integer basis of span(A)^perp within V, the question lives in g variables:
+for g <= 2 every g-subset B of the other generators is tried as the tight
+set (the vertex test), and for g >= 3 an exact LP over w decides it (the
+simplex of :mod:`rlah.simplex`).  The certificate is the vertex or LP
+point u, which callers can re-check against the sums.  Pointedness is the
+case A = {} (g = rank(S)).
+
+Uniqueness of monotone-signal recovery is decided on the kernel polytope
+K = {w : x + N w in B^(n)}: K contains 0 always, and equals {0} iff each
+kernel coordinate has maximum and minimum 0 over K (unboundedness counting
+as failure), by exact LPs.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,32 +47,73 @@ from .simplex import OPTIMAL, UNBOUNDED, solve_lp
 _ENUMERATION_CAP = 10 ** 6
 _MAX_WALK_N = 24
 _MAX_REDRAWS = 16
+# The vertex search tries binom(n - k, g) tight sets; larger gaps g go to an
+# LP over g variables instead.
+_MAX_VERTEX_GAP = 2
 
 Vector = Tuple[Fraction, ...]
+IntRow = Tuple[int, ...]
 
 
-def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank by fraction Gaussian elimination."""
+def _eliminate(rows: Sequence[Sequence[int]], width: int) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss).
+
+    Pivots on the first ``width`` columns and carries any further columns
+    along as right-hand sides.  Returns the reduced rows, the pivot columns
+    and the last pivot D: row i < rank holds D in column ``pivots[i]`` and 0
+    in the other pivot columns, and the rows from the rank on are zero in
+    the first ``width`` columns.  Every division is exact, so the entries
+    stay integers (they are minors of the input).
+    """
     mat = [list(row) for row in rows]
-    if not mat:
-        return 0
-    m, n = len(mat), len(mat[0])
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if mat[i][col] != 0), None)
+    pivots: List[int] = []
+    den = 1
+    for col in range(width):
+        top = len(pivots)
+        if top == len(mat):
+            break
+        piv = next((i for i in range(top, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for i in range(m):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+        mat[top], mat[piv] = mat[piv], mat[top]
+        prow = mat[top]
+        p = prow[col]
+        for i, row in enumerate(mat):
+            if i != top:
+                f = row[col]
+                mat[i] = [(p * a - f * b) // den for a, b in zip(row, prow)]
+        pivots.append(col)
+        den = p
+    return mat, pivots, den
+
+
+def _null_space(rows: Sequence[Sequence[int]], width: int) -> Tuple[int, List[IntRow]]:
+    """Rank and a primitive integer basis of {x : rows x = 0}."""
+    mat, pivots, den = _eliminate(rows, width)
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        v = [0] * width
+        v[free] = den
+        for row, pc in zip(mat, pivots):
+            v[pc] = -row[free]
+        g = math.gcd(*v)
+        basis.append(tuple(x // g for x in v))
+    return len(pivots), basis
+
+
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank of an integer matrix."""
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
+
+
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> Tuple[int, List[IntRow]]:
+    """Scale rational rows by the common denominator L of their entries."""
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return scale, [tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows]
+
+
+def _dot(a: Sequence, b: Sequence):
+    return sum(x * y for x, y in zip(a, b))
 
 
 class ConeClass(enum.Enum):
@@ -76,6 +131,16 @@ class WalkSample:
     increments: Tuple[Vector, ...]
     sums: Tuple[Vector, ...]
     redraws: int = 0
+
+    @cached_property
+    def _scaled(self) -> Tuple[int, List[IntRow]]:
+        """(L, S') with S' = L * sums in integers, L the common denominator."""
+        return _integer_rows(self.sums)
+
+    @cached_property
+    def _kernel(self) -> List[IntRow]:
+        """Integer basis of {x : S x = 0}, the complement of the sums' span."""
+        return _null_space(self._scaled[1], self.d)[1]
 
 
 def generate_walk(d: int, n: int, rng: np.random.Generator) -> WalkSample:
@@ -97,20 +162,67 @@ def generate_walk(d: int, n: int, rng: np.random.Generator) -> WalkSample:
         for inc in increments:
             acc = [a + b for a, b in zip(acc, inc)]
             sums.append(tuple(acc))
-        if _rank(sums) == min(n, d):
-            return WalkSample(d, n, increments, tuple(sums), redraws)
+        sample = WalkSample(d, n, increments, tuple(sums), redraws)
+        if _rank(sample._scaled[1]) == min(n, d):
+            return sample
         redraws += 1
         if redraws > _MAX_REDRAWS:
             raise DegenerateSample("persistent rank deficiency in walk generation")
 
 
+def _vertex(rows: Sequence[IntRow], g: int) -> Optional[List[Fraction]]:
+    """A vertex w of {w : c.w <= -1 for c in rows}, or None (g <= 2).
+
+    Tries every g-subset B of the rows as the tight set: a nonsingular B
+    gives one candidate point, kept if it satisfies the other rows.
+    """
+    for tight in itertools.combinations(rows, g):
+        mat, pivots, den = _eliminate([list(c) + [-1] for c in tight], g)
+        if len(pivots) < g:
+            continue
+        x = [row[g] for row in mat]  # w = x / den
+        if den < 0:
+            x, den = [-v for v in x], -den
+        if all(_dot(c, x) <= -den for c in rows):
+            return [Fraction(v, den) for v in x]
+    return None
+
+
+def _support(sample: WalkSample, subset: Sequence[int]) -> Optional[List[Fraction]]:
+    """u with S_i u = 0 on the subset and S_j u <= -1 off it, or None.
+
+    None also when the subset is dependent.  The search runs in the g
+    coordinates of u = L N w, N an integer basis of span(subset)^perp
+    within the span of the sums.
+    """
+    scale, rows = sample._scaled
+    kernel = sample._kernel
+    rank, basis = _null_space([rows[i] for i in subset] + kernel, sample.d)
+    if rank < len(subset) + len(kernel):
+        return None
+    chosen = set(subset)
+    g = len(basis)
+    projected = [tuple(_dot(row, v) for v in basis) for j, row in enumerate(rows) if j not in chosen]
+    if g <= _MAX_VERTEX_GAP:
+        w = _vertex(projected, g)
+    else:
+        result = solve_lp([0] * g, a_ub=projected, b_ub=[-1] * len(projected))
+        w = result.x if result.status == OPTIMAL else None
+    if w is None:
+        return None
+    return [scale * _dot(w, coords) for coords in zip(*basis)] if basis else [Fraction(0)] * sample.d
+
+
 def face_certificate(sample: WalkSample, subset: Iterable[int]) -> Optional[List[Fraction]]:
     """Supporting functional for the candidate face, or None.
 
-    When pos{S_i : i in A} is a face, returns an exact u with u.S_i = 0 for
-    i in A and u.S_j <= -1 off A; callers can re-verify those constraints in
-    rational arithmetic.  None when the subset is dependent (dimension
-    condition fails) or no supporting hyperplane exists.
+    When pos{S_i : i in A} is a face, returns an exact u in the span of the
+    sums with u.S_i = 0 for i in A and u.S_j <= -1 off A: for a gap
+    g = rank(S) - k <= 2 the vertex at which g of the inequalities are
+    tight, else the point the LP over g variables returns.  Callers can
+    re-verify the constraints in rational arithmetic.  None when the subset
+    is dependent (dimension condition fails) or no supporting hyperplane
+    exists.
     """
     a = sorted(set(subset))
     k = len(a)
@@ -118,18 +230,7 @@ def face_certificate(sample: WalkSample, subset: Iterable[int]) -> Optional[List
         raise InvalidParameter(f"face dimension must lie in [1, d-1], got {k}")
     if any(i < 0 or i >= sample.n for i in a):
         raise InvalidParameter(f"subset {a} out of range for n={sample.n}")
-    chosen = [sample.sums[i] for i in a]
-    if _rank(chosen) < k:
-        return None
-    rest = [sample.sums[j] for j in range(sample.n) if j not in set(a)]
-    result = solve_lp(
-        [0] * sample.d,
-        a_ub=rest,
-        b_ub=[-1] * len(rest),
-        a_eq=chosen,
-        b_eq=[0] * k,
-    )
-    return result.x if result.status == OPTIMAL else None
+    return _support(sample, a)
 
 
 def is_k_face(sample: WalkSample, subset: Iterable[int]) -> bool:
@@ -143,10 +244,7 @@ def is_k_face(sample: WalkSample, subset: Iterable[int]) -> bool:
 
 def is_pointed(sample: WalkSample) -> bool:
     """Pointedness: some u has u.S_i <= -1 for every generator."""
-    result = solve_lp(
-        [0] * sample.d, a_ub=list(sample.sums), b_ub=[-1] * sample.n
-    )
-    return result.status == OPTIMAL
+    return _support(sample, []) is not None
 
 
 def classify_cone(sample: WalkSample) -> ConeClass:
@@ -178,7 +276,7 @@ def classify_cone(sample: WalkSample) -> ConeClass:
 
 
 def count_faces(sample: WalkSample, k: int) -> int:
-    """Number of k-dimensional faces of the sample cone, by exhaustive LP.
+    """Number of k-dimensional faces of the sample cone, by exhaustive search.
 
     k = 0 is the pointedness indicator; 1 <= k <= d-1 enumerates all
     binom(n, k) generator subsets (guarded).
@@ -310,38 +408,10 @@ def make_recovery_instance(
     return RecoveryInstance(d, n, k, positions, amplitudes, matrix)
 
 
-def _kernel_basis(matrix: Sequence[Vector], n: int) -> Optional[List[List[Fraction]]]:
-    """Basis of ker(G) for a d x n matrix of full row rank; None if deficient."""
-    d = len(matrix)
-    m = [list(row) for row in matrix]
-    pivots: List[int] = []
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, d) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for i in range(d):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == d:
-            break
-    if rank < d:
-        return None
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis
+def _kernel_basis(matrix: Sequence[Vector], n: int) -> Optional[List[IntRow]]:
+    """Integer basis of ker(G) for a d x n matrix of full row rank; None if deficient."""
+    rank, basis = _null_space(_integer_rows(matrix)[1], n)
+    return basis if rank == len(matrix) else None
 
 
 def is_unique_recovery(inst: RecoveryInstance) -> bool:
@@ -359,7 +429,7 @@ def is_unique_recovery(inst: RecoveryInstance) -> bool:
         return True
     x = inst.signal
     n = inst.n
-    a_ub: List[List[Fraction]] = []
+    a_ub: List[List[int]] = []
     b_ub: List[Fraction] = []
     for i in range(n - 1):
         a_ub.append([basis[l][i + 1] - basis[l][i] for l in range(m)])

@@ -5,17 +5,24 @@ which already guarantees the canonical form we need (positive denominator,
 gcd-reduced after every operation).  This module adds the parsing and
 formatting conventions used at the package boundary: rationals are written
 as ``"p/q"`` (or a bare integer ``"p"``), and decimal literals like ``"0.5"``
-are parsed exactly as p/10^m, never through binary floating point.
+are parsed exactly as p/10^m, never through binary floating point.  A
+parsed literal may be at most ``_MAX_LITERAL_DIGITS`` characters long, with a
+decimal exponent at most that large, so its numerator and denominator have
+at most about twice that many digits.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
-from .errors import InvalidParameter
+from .errors import CapacityExceeded, InvalidParameter
 
 RationalLike = Union[int, str, Fraction]
+
+_MAX_LITERAL_DIGITS = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9]+(?:_[0-9]+)*)$")
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -32,8 +39,16 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
+        if len(text) > _MAX_LITERAL_DIGITS or (
+            exponent and abs(int(exponent.group(1))) > _MAX_LITERAL_DIGITS
+        ):
+            raise CapacityExceeded(
+                f"rational literal exceeds the {_MAX_LITERAL_DIGITS}-digit cap: {text[:40]!r}"
+            )
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidParameter(f"cannot parse rational from {value!r}") from exc
     if isinstance(value, float):

@@ -182,16 +182,3 @@ def solve_lp(
     objective = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), _ZERO)
     return LPResult(OPTIMAL, objective, x)
 
-
-def feasible(
-    a_ub: Sequence[Sequence] = (),
-    b_ub: Sequence = (),
-    a_eq: Sequence[Sequence] = (),
-    b_eq: Sequence = (),
-    nv: int | None = None,
-) -> bool:
-    """Exact feasibility of {x free : a_ub x <= b_ub, a_eq x = b_eq}."""
-    if nv is None:
-        nv = len(a_ub[0]) if a_ub else len(a_eq[0])
-    result = solve_lp([0] * nv, a_ub, b_ub, a_eq, b_eq)
-    return result.status == OPTIMAL

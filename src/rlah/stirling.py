@@ -47,7 +47,12 @@ def effective_n_max(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get(_N_MAX_ENV)
-    return int(env) if env else DEFAULT_N_MAX
+    if not env:
+        return DEFAULT_N_MAX
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise InvalidParameter(f"${_N_MAX_ENV} must be an integer, got {env!r}") from exc
 
 
 def _check_r(r: Fraction) -> Fraction:

@@ -1,7 +1,10 @@
 """CLI tests: spec'd example commands, exit codes, formats, reproducibility."""
 
 import json
+import time
 from fractions import Fraction as F
+
+import pytest
 
 from rlah.cli import main
 
@@ -152,3 +155,44 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(target.read_text()) == {"value": "18"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("asymptotics", "--n", "1x", "--k", "1", "--r", "1/2"),
+        ("asymptotics", "--n", "100", "--k", "1", "--r", "1/2", "--z", "abc"),
+        ("faces", "--d-range", "2:", "--n-range", "4:10", "--k", "1"),
+        ("faces", "--d-range", "2:3", "--n-range", "x", "--k", "1"),
+        ("pmf", "--n", "x", "--k", "1", "--r", "1/2"),
+        ("pmf", "--n", "3"),
+        ("mc-cone", "--d", "2", "--n", "2", "--k", "1", "--seed", "1.5"),
+    ],
+)
+def test_unparseable_arguments_exit_2_with_record(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["kind"] == "InvalidParameter"
+
+
+def test_bad_n_max_environment_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("RLAH_N_MAX", "abc")
+    code, out = run_cli(capsys, "lah", "--n", "3", "--k", "1", "--r", "1/2")
+    assert code == 2
+    assert json.loads(out)["kind"] == "InvalidParameter"
+
+
+def test_out_file_in_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "result.json"
+    code, out = run_cli(capsys, "--out", str(target), "lah", "--n", "3", "--k", "1", "--r", "1/2")
+    assert code == 2
+    assert json.loads(out)["kind"] == "InvalidParameter"
+    assert not target.exists()
+
+
+def test_huge_rational_literal_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "pmf", "--n", "3", "--k", "1", "--r", "1e999999")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert json.loads(out)["kind"] == "CapacityExceeded"

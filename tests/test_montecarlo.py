@@ -1,11 +1,13 @@
 """Monte Carlo verifier tests.
 
-Hand-built cones with known face lattices pin down the LP characterization;
-seeded estimator runs are checked against the exact closed forms from the
-cones module (the runs are deterministic, so these are frozen comparisons,
-not flaky statistics).
+Hand-built cones with known face lattices pin down the face
+characterization, and an LP route on the original Fraction sums is the
+oracle for the vertex and reduced-LP face tests; seeded estimator runs are
+checked against the exact closed forms from the cones module (the runs are
+deterministic, so these are frozen comparisons, not flaky statistics).
 """
 
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
@@ -28,6 +30,7 @@ from rlah.montecarlo import (
     is_unique_recovery,
     make_recovery_instance,
 )
+from rlah.simplex import OPTIMAL, solve_lp
 
 
 def make_sample(d, vectors):
@@ -79,25 +82,88 @@ class TestHandBuiltCones:
         assert not is_k_face(sample, [1])
 
 
+def fraction_rank(rows):
+    """Rank by plain Fraction elimination, independent of the integer route."""
+    mat = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col] / mat[rank][col]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def lp_supported(sample, subset):
+    """Oracle: is there u with u.S_i = 0 on an independent subset, u.S_j <= -1 off it?"""
+    chosen = [sample.sums[i] for i in subset]
+    if fraction_rank(chosen) < len(chosen):
+        return False
+    rest = [sample.sums[j] for j in range(sample.n) if j not in subset]
+    result = solve_lp(
+        [0] * sample.d, a_ub=rest, b_ub=[-1] * len(rest), a_eq=chosen, b_eq=[0] * len(chosen)
+    )
+    return result.status == OPTIMAL
+
+
+def assert_certificate(sample, subset, u):
+    dots = [sum(a * b for a, b in zip(u, s)) for s in sample.sums]
+    assert all(dots[i] == 0 for i in subset)
+    assert all(dots[j] <= -1 for j in range(sample.n) if j not in subset)
+
+
+HAND_BUILT = [
+    (2, [(1, 0), (1, 1)]),
+    (2, [(1, 0), (0, 1), (1, 1)]),
+    (2, [(1, 0), (-1, 1), (-1, -1)]),
+    (2, [(1, 0), (-1, 0), (0, 1)]),
+    (3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)]),
+    (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    (2, [(1, 1), (2, 2)]),
+    (3, [(1, 2, 0), (2, 4, 0), (F(1, 3), 0, 0), (0, 0, 0)]),
+]
+# the criterion-09 grid, the mc-cone benchmark points, and walks with n < d
+EQUIVALENCE_GRID = [(2, 2, 1), (2, 4, 1), (3, 4, 1), (3, 4, 2), (3, 6, 2), (3, 6, 0), (4, 6, 1),
+                    (4, 6, 2), (3, 2, 1), (3, 2, 2), (4, 3, 2), (4, 3, 1)]
+
+
+class TestLPEquivalence:
+    def check(self, sample, ks):
+        assert is_pointed(sample) == lp_supported(sample, ())
+        for k in ks:
+            for subset in itertools.combinations(range(sample.n), k):
+                u = face_certificate(sample, subset)
+                assert is_k_face(sample, subset) == (u is not None) == lp_supported(sample, subset)
+                if u is not None:
+                    assert_certificate(sample, subset, u)
+
+    def test_hand_built_cones(self):
+        for d, vectors in HAND_BUILT:
+            self.check(make_sample(d, vectors), range(1, d))
+
+    @pytest.mark.parametrize("d,n,k", EQUIVALENCE_GRID)
+    def test_seeded_walks(self, d, n, k):
+        for seed in range(10):
+            sample = generate_walk(d, n, np.random.default_rng((2024, d, n, seed)))
+            self.check(sample, [k] if k else [])
+
+
 class TestCertificates:
     def test_lp_soundness_recheck(self):
         # every accepted face certificate must satisfy all constraints in
         # exact rational arithmetic
-        import itertools
-
         for seed in range(6):
             sample = generate_walk(3, 6, np.random.default_rng((31, seed)))
             for k in (1, 2):
                 for subset in itertools.combinations(range(sample.n), k):
                     u = face_certificate(sample, subset)
                     assert (u is not None) == is_k_face(sample, subset)
-                    if u is None:
-                        continue
-                    for i in subset:
-                        assert sum(a * b for a, b in zip(u, sample.sums[i])) == 0
-                    for j in range(sample.n):
-                        if j not in subset:
-                            assert sum(a * b for a, b in zip(u, sample.sums[j])) <= -1
+                    if u is not None:
+                        assert_certificate(sample, subset, u)
 
     def test_euler_alternation_diagnostic(self):
         # logged only: the alternating face-count sum for pointed cones

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rlah.errors import InvalidParameter
-from rlah.rational import as_rational, format_rational
+from rlah.errors import CapacityExceeded, InvalidParameter
+from rlah.rational import _MAX_LITERAL_DIGITS, as_rational, format_rational
 
 
 def test_parse_forms():
@@ -35,6 +35,15 @@ def test_rejections():
         as_rational(True)
     with pytest.raises(InvalidParameter):
         as_rational(None)
+
+
+def test_literal_size_cap():
+    cap = _MAX_LITERAL_DIGITS
+    assert as_rational("7" * cap) == int("7" * cap)
+    assert as_rational(f"1e{cap}") == 10 ** cap
+    for text in ("7" * (cap + 1), f"1e{cap + 1}", f"1e-{cap + 1}", "1e999999", "1.5E+999999999"):
+        with pytest.raises(CapacityExceeded):
+            as_rational(text)
 
 
 def test_format():

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from rlah.errors import CapacityExceeded
-from rlah.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible, solve_lp
+from rlah.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
 def test_simple_box():
@@ -46,11 +46,6 @@ def test_exact_fraction_arithmetic():
     res = solve_lp([F(1, 3)], a_ub=[[F(2, 7)]], b_ub=[F(3, 5)])
     assert res.status == OPTIMAL
     assert res.objective == F(1, 3) * F(21, 10)
-
-
-def test_feasible_helper():
-    assert feasible(a_ub=[[1], [-1]], b_ub=[2, 2])
-    assert not feasible(a_ub=[[1], [-1]], b_ub=[-3, 2])
 
 
 def test_capacity_guard():
