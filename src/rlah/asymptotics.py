@@ -197,6 +197,25 @@ def lambda_n(n: int, k: int, r: float) -> float:
     return (k + float(r)) * math.log(n)
 
 
+def _gamma_ratio(a: float, b: float) -> float:
+    """Gamma(a)/Gamma(b) for a, b > 0.
+
+    Taken from math.gamma where both values are finite.  Where one of them
+    overflows (a large argument, or a tiny one near the pole at 0) the ratio
+    is exp(lgamma(a) - lgamma(b)) instead.
+    """
+    if a <= 0 or b <= 0:
+        raise DomainError(f"Gamma ratio needs positive arguments, got {a} and {b}")
+    try:
+        return math.gamma(a) / math.gamma(b)
+    except OverflowError:
+        pass
+    try:
+        return math.exp(math.lgamma(a) - math.lgamma(b))
+    except OverflowError:
+        raise DomainError(f"Gamma({a})/Gamma({b}) overflows binary64") from None
+
+
 def psi_limit(k: int, r: float, z: float) -> float:
     """Mod-Poisson limit Gamma(k+2r)/Gamma((k+r) e^z + r); Psi(0) = 1 exactly."""
     kr = k + float(r)
@@ -204,7 +223,7 @@ def psi_limit(k: int, r: float, z: float) -> float:
     def arg(u: float) -> float:
         return kr * math.exp(u) + float(r)
 
-    return math.gamma(arg(0.0)) / math.gamma(arg(z))
+    return _gamma_ratio(arg(0.0), arg(z))
 
 
 @dataclass(frozen=True)
@@ -301,7 +320,7 @@ def _ldp_common(n: int, k: int, r: float, x: float) -> float:
     j, x_n = ldp_lattice_point(n, k, r, x)
     kr = k + float(r)
     exponent = -kr * (x_n * math.log(x_n) - x_n + 1.0) * math.log(n)
-    gamma_ratio = math.gamma(k + 2 * float(r)) / math.gamma(kr * x + float(r))
+    gamma_ratio = _gamma_ratio(k + 2 * float(r), kr * x + float(r))
     return math.exp(exponent) / math.sqrt(2.0 * math.pi * kr * x * math.log(n)) * gamma_ratio
 
 
@@ -368,7 +387,7 @@ def kolmogorov_distance(
     cdf = 0.0
     for j in range(k, head.j_hi + 1):
         z = clt_normalize(j + shift, n, k, float(r))
-        p = float(head.pmf(j))
+        p = head.pmf_float(j)
         if not continuity_correction:
             best = max(best, abs(cdf - normal_cdf(z)))
         cdf += p
@@ -385,10 +404,10 @@ def llt_sup_gap(n: int, k: int, r: RationalLike) -> float:
     head = _head_for(n, k, r)
     best = 0.0
     for j in range(k, head.j_hi + 1):
-        gap = abs(float(head.pmf(j)) - llt_gaussian_pmf(j, n, k, float(r)))
+        gap = abs(head.pmf_float(j) - llt_gaussian_pmf(j, n, k, float(r)))
         best = max(best, gap)
     # beyond the window both terms are below their decreasing edge values
-    edge = max(float(head.pmf(head.j_hi)), llt_gaussian_pmf(head.j_hi + 1, n, k, float(r)))
+    edge = max(head.pmf_float(head.j_hi), llt_gaussian_pmf(head.j_hi + 1, n, k, float(r)))
     return math.sqrt(math.log(n)) * max(best, edge)
 
 
@@ -402,7 +421,7 @@ def _log_mgf_exact(n: int, k: int, r: Fraction, z: float) -> float:
     z_size = max(z, 0.0)
     head = _head_for(n, k, r, z_size)
     while True:
-        terms = [z * j + _log_fraction(head.pmf(j)) for j in range(k, head.j_hi + 1)]
+        terms = [z * j + head.log_pmf(j) for j in range(k, head.j_hi + 1)]
         top = max(terms)
         log_sum = top + math.log(sum(math.exp(t - top) for t in terms))
         if head.j_hi >= n:
@@ -410,6 +429,8 @@ def _log_mgf_exact(n: int, k: int, r: Fraction, z: float) -> float:
         u_last, u_prev = terms[-1], terms[-2]
         if u_last < u_prev:
             ratio = math.exp(u_last - u_prev)
+            if ratio == 0.0:  # u_last - u_prev < -745: the tail is far below the sum
+                return log_sum
             log_tail_bound = u_last + math.log(ratio / (1.0 - ratio))
             if log_tail_bound < log_sum - 27.7:  # tail below 1e-12 of the sum
                 return log_sum
@@ -452,7 +473,8 @@ def mod_poisson_residual(
 
 def ldp_tail_ratio(n: int, k: int, r: RationalLike, x: float) -> Tuple[float, float, float]:
     """(exact tail, asymptotic tail, ratio) at the lattice point nearest
-    (k+r) x log n; upper tail for x > 1, lower tail for x < 1."""
+    (k+r) x log n; upper tail for x > 1, lower tail for x < 1.  An
+    approximant that underflows to 0 raises DomainError."""
     r = as_rational(r)
     j, _ = ldp_lattice_point(n, k, float(r), x)
     head = _head_for(n, k, r, math.log(max(x, 1.0)) + 0.1)
@@ -464,6 +486,8 @@ def ldp_tail_ratio(n: int, k: int, r: RationalLike, x: float) -> Tuple[float, fl
         approx = ldp_lower_tail(n, k, float(r), x)
     else:
         raise DomainError("x must differ from 1 for a tail ratio")
+    if approx == 0.0:
+        raise DomainError(f"the asymptotic tail at x={x} underflows to 0")
     return exact, approx, exact / approx
 
 

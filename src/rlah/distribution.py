@@ -14,7 +14,13 @@ CDF thresholds.
 ``pmf_head`` is the large-n workhorse: it materializes the exact PMF on a
 prefix {k, ..., j_hi} of the support in O(j_hi * n) big-integer work, which
 is what makes exact tail sums, CDF heads and modes reachable at n = 10^4
-where the full triangle is out of the question.
+where the full triangle is out of the question.  A head is kept as integers
+only: one row per (n, k, r) of prefix sums of the weights b[j]*t[j] over the
+single denominator q^n L(n,k)_r, grown upward and shared by every window of
+that key, and one first-kind prefix per (n, r), shared by every k.  CDF
+values, tails and floats are read off those sums, and a Fraction is built
+only at the API boundary.  Rows and prefixes share one byte budget,
+``_CACHE_BUDGET_BYTES``, and the least recently used are evicted first.
 """
 
 from __future__ import annotations
@@ -22,15 +28,18 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import IO, List, Sequence, Set, Tuple
+from typing import IO, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from .errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
-from .rational import RationalLike, as_rational, format_rational
+from .rational import RationalLike, as_rational, check_decimal_digits, format_rational
 from .stirling import (
     StirlingKind,
     _first_kind_prefix_scaled,
@@ -185,13 +194,13 @@ class LahDistribution:
         for j, p, c in zip(self.support, self._pmf, self._cdf):
             row = {
                 "j": j,
-                "pmf_num": p.numerator,
-                "pmf_den": p.denominator,
+                "pmf_num": check_decimal_digits(p.numerator),
+                "pmf_den": check_decimal_digits(p.denominator),
                 "pmf_float": float(p),
             }
             if include_cdf:
-                row["cdf_num"] = c.numerator
-                row["cdf_den"] = c.denominator
+                row["cdf_num"] = check_decimal_digits(c.numerator)
+                row["cdf_den"] = check_decimal_digits(c.denominator)
             rows.append(row)
         return rows
 
@@ -273,25 +282,160 @@ def pgf_eval(params: AdmissibleTriple, t: RationalLike) -> Fraction:
 
 # -- exact prefix of the PMF for large n --------------------------------------
 
+_CACHE_BUDGET_BYTES = 64 * 2**20  # head rows and first-kind prefixes together
+
+
+class _ByteLRU:
+    """Least-recently-used store whose entries' byte sizes sum to at most
+    ``_CACHE_BUDGET_BYTES``.  The entry just stored is never evicted by its
+    own insertion, so an entry larger than the whole budget is still served
+    until the next one arrives."""
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[tuple, Tuple[object, int]]" = OrderedDict()
+        self.nbytes = 0
+
+    def get(self, key: tuple):
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        return entry[0]
+
+    def put(self, key: tuple, value, nbytes: int) -> None:
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.nbytes -= old[1]
+        self._entries[key] = (value, nbytes)
+        self.nbytes += nbytes
+        while self.nbytes > _CACHE_BUDGET_BYTES and len(self._entries) > 1:
+            _, (_, size) = self._entries.popitem(last=False)
+            self.nbytes -= size
+
+
+class _HeadRow:
+    """Integer PMF weights of one (n, k, r) over one integer denominator.
+
+    With b and t the scaled first- and second-kind slices, the weight of j
+    is w[j] = b[j] * t[j] and P[X = j] = w[j] / den, where den = q^n L(n,k)_r
+    is the sum of all weights.  ``cum[i]`` is w[k] + ... + w[k+i]; the row
+    only grows upward, so one row serves every window of its key.  ``logs``
+    memoizes the log-PMF per j.
+    """
+
+    __slots__ = ("k", "den", "cum", "logs", "nbytes")
+
+    def __init__(self, k: int, den: int):
+        self.k = k
+        self.den = den
+        self.cum: List[int] = []
+        self.logs: Dict[int, float] = {}
+        self.nbytes = sys.getsizeof(den)
+
+    def weight(self, j: int) -> int:
+        i = j - self.k
+        return self.cum[i] - self.cum[i - 1] if i else self.cum[0]
+
+
+_cache = _ByteLRU()
+_cache_lock = threading.Lock()
+
+
+def _prefix(n: int, r: Fraction, j_max: int) -> List[int]:
+    """Scaled first-kind prefix b[0..j_max] of row n, shared by every k.
+
+    It is recomputed only when a request goes past the cached one, and then
+    at no less than twice the cached size, so a run of widening windows
+    costs a bounded multiple of the widest.  The caller holds ``_cache_lock``.
+    """
+    key = ("prefix", n, r)
+    b = _cache.get(key)
+    if b is None or len(b) <= j_max:
+        if b is not None:
+            j_max = max(j_max, 2 * (len(b) - 1))
+        b = _first_kind_prefix_scaled(n, r, j_max)
+        _cache.put(key, b, sum(map(sys.getsizeof, b)))
+    return b
+
+
+def _head_row(n: int, k: int, r: Fraction, j_hi: int) -> _HeadRow:
+    """The cached row of (n, k, r), grown to cover j_hi <= n."""
+    key = ("head", n, k, r)
+    with _cache_lock:
+        row = _cache.get(key)
+        if row is None:
+            # q^n L(n,k)_r is the sum of the integer weights, so it is an integer
+            den = r.denominator ** n * lah_r(n, k, r, n_max=max(n, effective_n_max()))
+            row = _HeadRow(k, den.numerator)
+        top = k + len(row.cum) - 1
+        if j_hi > top:
+            b = _prefix(n, r, j_hi)
+            t = _second_kind_column_scaled(k, r, j_hi)
+            acc = row.cum[-1] if row.cum else 0
+            for j in range(top + 1, j_hi + 1):
+                acc += b[j] * t[j]
+                row.cum.append(acc)
+                row.nbytes += sys.getsizeof(acc)
+            _cache.put(key, row, row.nbytes)
+        return row
+
+
 @dataclass(frozen=True)
 class PmfHead:
-    """Exact PMF values on the support prefix {k, ..., j_hi}.
+    """Exact PMF on the support prefix {k, ..., j_hi}, a view of a cached row.
 
-    ``values[i]`` is P[X = k+i] as a Fraction.  ``head_cdf(j)`` is the exact
-    P[X <= j] for j <= j_hi; the complement gives exact upper tails without
-    ever touching the (astronomical) right end of the row.
+    ``head_cdf(j)`` is the exact P[X <= j] for j <= j_hi; the complement
+    gives exact upper tails without ever touching the (astronomical) right
+    end of the row.  A Fraction is built from one int/int pair per call.
+    The view holds no big integers: each read looks its (n, k, r) row up in
+    the budgeted cache, regrowing it if it was evicted, so the budget bounds
+    what heads keep alive.
     """
 
     params: AdmissibleTriple
     j_hi: int
-    values: Tuple[Fraction, ...]
 
-    def pmf(self, j: int) -> Fraction:
+    def _row(self) -> _HeadRow:
+        p = self.params
+        return _head_row(p.n, p.k, p.r, self.j_hi)
+
+    def _in_head(self, j: int) -> bool:
+        """False outside the support; raises beyond the computed head."""
         if j < self.params.k or j > self.params.n:
-            return Fraction(0)
+            return False
         if j > self.j_hi:
             raise InvalidParameter(f"j={j} beyond computed head j_hi={self.j_hi}")
-        return self.values[j - self.params.k]
+        return True
+
+    def pmf(self, j: int) -> Fraction:
+        if not self._in_head(j):
+            return Fraction(0)
+        row = self._row()
+        return Fraction(row.weight(j), row.den)
+
+    def pmf_float(self, j: int) -> float:
+        """float(pmf(j)): int true division is correctly rounded, as is the
+        float of the reduced Fraction, so the two agree bit for bit."""
+        if not self._in_head(j):
+            return 0.0
+        row = self._row()
+        return row.weight(j) / row.den
+
+    def log_pmf(self, j: int) -> float:
+        """log P[X = j] as log(numerator) - log(denominator) of the reduced
+        fraction (-inf for 0), memoized per j on the row."""
+        row = self._row()
+        value = row.logs.get(j)
+        if value is None:
+            p = self.pmf(j)
+            value = math.log(p.numerator) - math.log(p.denominator) if p else -math.inf
+            row.logs[j] = value
+        return value
+
+    def _weights(self) -> List[int]:
+        """Integer weights w[k..j_hi], all over the same denominator."""
+        row = self._row()
+        return [row.weight(j) for j in range(self.params.k, self.j_hi + 1)]
 
     def head_cdf(self, j: int) -> Fraction:
         """Exact P[X <= j] for j <= j_hi (or any j when the head covers n)."""
@@ -302,7 +446,8 @@ class PmfHead:
                 j = self.params.n
             else:
                 raise InvalidParameter(f"j={j} beyond computed head j_hi={self.j_hi}")
-        return sum(self.values[: j - self.params.k + 1], Fraction(0))
+        row = self._row()
+        return Fraction(row.cum[j - self.params.k], row.den)
 
     def upper_tail(self, j: int) -> Fraction:
         """Exact P[X >= j], via 1 - P[X <= j-1]."""
@@ -315,14 +460,8 @@ class PmfHead:
 
 @lru_cache(maxsize=32)
 def _pmf_head_cached(n: int, k: int, r: Fraction, j_hi: int) -> PmfHead:
-    params = AdmissibleTriple(n, k, r)
-    q = r.denominator
-    b = _first_kind_prefix_scaled(n, r, j_hi)
-    t = _second_kind_column_scaled(k, r, j_hi)
-    # pmf[j] = b[j]*t[j] / (q^n * L); the scale q^n*L is integer-valued
-    scale = q ** n * lah_r(n, k, r, n_max=max(n, effective_n_max()))
-    values = tuple(Fraction(b[j] * t[j], 1) / scale for j in range(k, j_hi + 1))
-    return PmfHead(params, j_hi, values)
+    _head_row(n, k, r, j_hi)
+    return PmfHead(AdmissibleTriple(n, k, r), j_hi)
 
 
 def pmf_head(n: int, k: int, r: RationalLike, j_hi: int) -> PmfHead:
@@ -330,7 +469,9 @@ def pmf_head(n: int, k: int, r: RationalLike, j_hi: int) -> PmfHead:
 
     Unlike :func:`build_distribution` this does not fill (or cap at) the
     triangle: cost is O(j_hi * n) big-integer operations, fine at n = 10^4
-    for the j_hi ~ 100 these distributions concentrate under.
+    for the j_hi ~ 100 these distributions concentrate under.  Windows of
+    one (n, k, r) share one row, and every k at one (n, r) shares one
+    first-kind prefix.
     """
     r = as_rational(r)
     params = AdmissibleTriple(n, k, r)  # validate eagerly
@@ -345,7 +486,8 @@ def mode_exact(n: int, k: int, r: RationalLike, *, window: int | None = None) ->
 
     The head is grown until the (strictly log-concave) weight sequence is
     decreasing at the right edge, which certifies that no maximizer lies
-    beyond the window.  Works at n far past the exact-table cap.
+    beyond the window.  Works at n far past the exact-table cap.  The
+    weights share one denominator, so they are compared as integers.
     """
     r = as_rational(r)
     params = AdmissibleTriple(n, k, r)
@@ -354,7 +496,7 @@ def mode_exact(n: int, k: int, r: RationalLike, *, window: int | None = None) ->
     j_hi = max(j_hi, k + 2)
     while True:
         head = pmf_head(n, k, r, j_hi)
-        w = head.values
+        w = head._weights()
         if j_hi >= n or (len(w) >= 2 and w[-1] < w[-2]):
             break
         j_hi = min(n, 2 * j_hi)

@@ -8,13 +8,17 @@ as ``"p/q"`` (or a bare integer ``"p"``), and decimal literals like ``"0.5"``
 are parsed exactly as p/10^m, never through binary floating point.  A
 parsed literal may be at most ``_MAX_LITERAL_DIGITS`` characters long, with a
 decimal exponent at most that large, so its numerator and denominator have
-at most about twice that many digits.
+at most about twice that many digits.  On the way out, an integer with more
+decimal digits than the interpreter's int-to-str limit is refused with
+``CapacityExceeded`` before any conversion is tried.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import CapacityExceeded, InvalidParameter
@@ -58,6 +62,28 @@ def as_rational(value: RationalLike) -> Fraction:
     raise InvalidParameter(f"cannot interpret {value!r} as a rational")
 
 
+@lru_cache(maxsize=None)
+def _ten_to(power: int) -> int:
+    return 10 ** power
+
+
+def check_decimal_digits(value: int) -> int:
+    """Return ``value`` if ``str`` can render it, else raise CapacityExceeded.
+
+    ``str`` refuses integers with more decimal digits than
+    ``sys.get_int_max_str_digits()``, that is |value| >= 10^limit.  The bit
+    length settles every case but those within a few bits of 10^limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and value.bit_length() > 3 * limit and abs(value) >= _ten_to(limit):
+        raise CapacityExceeded(
+            f"exact output has more than {limit} decimal digits (the int-to-str limit)"
+        )
+    return value
+
+
 def format_rational(value: Fraction) -> str:
     """Render as "p/q", or bare "p" when the denominator is 1.  Exact."""
+    check_decimal_digits(value.numerator)
+    check_decimal_digits(value.denominator)
     return str(value)

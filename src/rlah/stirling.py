@@ -175,21 +175,24 @@ def stirling_r_poly(
 def gen_binomial(top_offset: RationalLike, gap: int) -> Fraction:
     """Generalized binomial binom(x, x-gap) as the product over j=1..gap of (x-gap+j)/j.
 
-    The empty product (gap=0) is 1.  A zero factor in numerator position is
-    rejected: it cannot occur for admissible callers and signals a misuse.
+    With x = p/q the numerator prod (p - (gap-j) q) and the denominator
+    q^gap gap! are integer products, reduced once.  The empty product
+    (gap=0) is 1.  A zero factor in numerator position is rejected: it
+    cannot occur for admissible callers and signals a misuse.
     """
     if gap < 0:
         raise InvalidParameter(f"gap must be >= 0, got {gap}")
     x = as_rational(top_offset)
-    out = Fraction(1)
+    p, q = x.numerator, x.denominator
+    num = 1
     for j in range(1, gap + 1):
-        num = x - gap + j
-        if num == 0:
+        factor = p - (gap - j) * q  # q * (x - gap + j)
+        if factor == 0:
             raise InvalidParameter(
                 f"gen_binomial({x}, {gap}): zero factor at j={j}; parameters inadmissible"
             )
-        out = out * num / j
-    return out
+        num *= factor
+    return Fraction(num, q ** gap * math.factorial(gap))
 
 
 def _check_admissible(n: int, k: int, r: Fraction) -> None:

@@ -22,6 +22,7 @@ from rlah.asymptotics import (
     ldp_lattice_point,
     ldp_lower_tail,
     ldp_point,
+    ldp_tail_ratio,
     ldp_upper_tail,
     llt_gaussian_pmf,
     llt_sup_gap,
@@ -153,6 +154,19 @@ def test_lambda_and_psi():
     # spec example: k=1, r=1/2 limit at z = 0.3
     want = math.gamma(2.0) / math.gamma(1.5 * math.exp(0.3) + 0.5)
     assert psi_limit(1, 0.5, 0.3) == pytest.approx(want, rel=1e-14)
+
+
+def test_gamma_ratio_goes_to_log_space_only_on_overflow():
+    assert psi_limit(1, 0.5, 1.0) == math.gamma(2.0) / math.gamma(1.5 * math.exp(1.0) + 0.5)
+    big = 1.5 * math.exp(5.0) + 0.5  # math.gamma(big) overflows
+    assert psi_limit(1, 0.5, 5.0) == math.exp(math.lgamma(2.0) - math.lgamma(big))
+    assert 0.0 < psi_limit(1, 0.0, -720.0) < 1e-300  # a subnormal argument near the pole at 0
+    with pytest.raises(DomainError):
+        psi_limit(1, 0.0, -800.0)  # argument underflows to the pole itself
+    with pytest.raises(DomainError):
+        psi_limit(200, 0.0, -3.0)  # the ratio itself overflows
+    with pytest.raises(DomainError):
+        ldp_tail_ratio(100, 1, HALF, 200.0)  # approximant underflows to 0
 
 
 def test_limit_approximant_bundle():

@@ -1,6 +1,7 @@
 """CLI tests: spec'd example commands, exit codes, formats, reproducibility."""
 
 import json
+import math
 import time
 from fractions import Fraction as F
 
@@ -196,3 +197,35 @@ def test_huge_rational_literal_is_refused_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert json.loads(out)["kind"] == "CapacityExceeded"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lah", "--n", "2000", "--k", "1", "--r", "1/2"),
+        ("recovery", "--d", "18", "--n", "2500", "--k", "3"),
+    ],
+)
+def test_output_past_the_int_to_str_limit_exits_3(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["kind"] == "CapacityExceeded"
+
+
+@pytest.mark.parametrize(
+    "extra,code_want",
+    [
+        (("--r", "1/2", "--z", "5"), 0),  # Gamma((k+r) e^5 + r) overflows math.gamma
+        (("--r", "0", "--z", "-800"), 2),  # (k+r) e^-800 + r underflows to the pole at 0
+        (("--r", "1/2", "--x", "200"), 0),  # the tail approximant underflows to 0
+    ],
+)
+def test_asymptotics_overflow_inputs(capsys, extra, code_want):
+    code, out = run_cli(capsys, "asymptotics", "--n", "100", "--k", "1", *extra)
+    assert code == code_want
+    if code:
+        assert json.loads(out)["kind"] == "DomainError"
+        return
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert rows and all(math.isfinite(float(v)) for row in rows for v in row[2:])
+    assert not any(row[1] == "ldp_tail[x=200]" for row in rows)

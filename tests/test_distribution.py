@@ -6,6 +6,8 @@ The heavyweight oracle here is the bivariate series expansion of
 function independently of the recurrence tables.
 """
 
+import contextlib
+import hashlib
 import json
 import math
 from fractions import Fraction as F
@@ -15,6 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlah import distribution
+from rlah.asymptotics import _log_fraction
+from rlah.cli import main as cli_main
 from rlah.distribution import (
     AdmissibleTriple,
     build_distribution,
@@ -366,3 +371,136 @@ def test_distribution_invariants(triple):
     assert len(m) in (1, 2) and (len(m) == 1 or m[1] == m[0] + 1)
     if n > k:
         assert d.parity_probabilities() == (HALF, HALF)
+
+
+# -- integer head rows and their cache ------------------------------------------------
+
+@contextlib.contextmanager
+def fresh_cache(budget=None):
+    """Run with empty head and prefix caches (and, optionally, another budget)."""
+    saved = distribution._cache, distribution._CACHE_BUDGET_BYTES
+    distribution._cache = distribution._ByteLRU()
+    if budget is not None:
+        distribution._CACHE_BUDGET_BYTES = budget
+    distribution._pmf_head_cached.cache_clear()
+    try:
+        yield distribution._cache
+    finally:
+        distribution._cache, distribution._CACHE_BUDGET_BYTES = saved
+        distribution._pmf_head_cached.cache_clear()
+
+
+def assert_head_matches(head, d):
+    k = d.params.k
+    for j in range(k - 1, head.j_hi + 1):
+        assert head.pmf(j) == d.pmf(j)
+        assert head.head_cdf(j) == head.lower_tail(j) == d.cdf(j)
+        assert head.upper_tail(j + 1) == 1 - d.cdf(j)
+
+
+def test_head_grown_in_any_window_order_matches_fresh_and_oracle():
+    n, k, r = 90, 1, HALF
+    d = dist(n, k, r)
+    with fresh_cache() as cache:
+        heads = [pmf_head(n, k, r, w) for w in (40, 12, 80)]
+        assert [key[0] for key in cache._entries] == ["prefix", "head"]  # one row, grown 40 -> 80
+        for head in heads:
+            window = range(k, head.j_hi + 1)
+            grown = [head.pmf(j) for j in window]
+            with fresh_cache():
+                assert [pmf_head(n, k, r, head.j_hi).pmf(j) for j in window] == grown
+            assert_head_matches(head, d)
+
+
+@given(triples(), st.lists(st.integers(min_value=0, max_value=18), min_size=1, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_head_windows_in_random_order(triple, windows):
+    n, k, r = triple
+    d = dist(n, k, r)
+    with fresh_cache():
+        for w in windows:
+            head = pmf_head(n, k, r, max(w, k))
+            assert_head_matches(head, d)
+        full = pmf_head(n, k, r, n)
+        assert full.head_cdf(n + 5) == 1 and full.upper_tail(n + 1) == 0
+
+
+@pytest.mark.parametrize("n,k,r", [(40, 2, HALF), (1000, 1, HALF), (3000, 0, F(7, 3)), (300, 2, F(0))])
+def test_float_and_log_accessors_are_bit_identical(n, k, r):
+    head = pmf_head(n, k, r, 200)
+    for j in range(k - 1, head.j_hi + 1):
+        p = head.pmf(j)
+        assert head.pmf_float(j) == float(p)
+        assert head.log_pmf(j) == _log_fraction(p)
+        assert head.log_pmf(j) == _log_fraction(p)  # memoized value
+
+
+def test_two_k_share_one_first_kind_prefix(monkeypatch):
+    calls = []
+    kernel = distribution._first_kind_prefix_scaled
+
+    def counted(n, r, j_max):
+        calls.append(j_max)
+        return kernel(n, r, j_max)
+
+    monkeypatch.setattr(distribution, "_first_kind_prefix_scaled", counted)
+    with fresh_cache():
+        pmf_head(500, 1, HALF, 30)
+        pmf_head(500, 2, HALF, 25)
+        assert calls == [30]
+        pmf_head(500, 2, HALF, 40)  # past the cached prefix: recomputed, at least doubled
+        assert calls == [30, 60]
+        pmf_head(500, 1, HALF, 55)
+        assert calls == [30, 60]
+
+
+def test_cache_stays_under_a_small_budget():
+    budget = 60_000
+    with fresh_cache(budget) as cache:
+        heads = []
+        for n in (200, 250, 300):
+            for k, r in ((1, HALF), (2, F(0)), (0, F(7, 3))):
+                heads.append((pmf_head(n, k, r, 60), (n, k, r)))
+                assert 0 < cache.nbytes <= budget
+        assert len(cache._entries) < 2 * len(heads)  # something was evicted
+        for head, (n, k, r) in heads[:3]:  # evicted rows regrow to the same values
+            with fresh_cache():
+                fresh = pmf_head(n, k, r, 60)
+                want = [fresh.head_cdf(j) for j in range(k, 61)]
+            assert [head.head_cdf(j) for j in range(k, 61)] == want
+            assert cache.nbytes <= budget
+
+
+# -- byte-identical CLI output ---------------------------------------------------------
+
+ASYMPTOTICS_GOLDEN = """\
+n,statistic,exact,approximant,gap
+300,clt_kolmogorov,0.1145645783959024,0.0,0.1145645783959024
+300,llt_sup_gap,0.08691924840582875,0.0,0.08691924840582875
+300,mod_poisson_residual[z=-0.5],1.1016814187505843,1.1276831220846328,0.026001703334048498
+300,mod_poisson_residual[z=0.3],0.7434008606257798,0.7391437027322936,0.004257157893486241
+300,mod_poisson_residual[z=1],0.07927436170935567,0.07714970570030037,0.0021246560090553007
+300,mode,8.0,7.5,0.5
+300,ldp_tail[x=2],0.001321355403378738,0.0023000433690076854,0.0009786879656289475
+300,ldp_tail[x=0.5],0.07742583986751934,0.09360085225902287,0.016175012391503527
+1000,clt_kolmogorov,0.10494201163097494,0.0,0.10494201163097494
+1000,llt_sup_gap,0.07884402726240389,0.0,0.07884402726240389
+1000,mod_poisson_residual[z=-0.5],1.1149561823602194,1.1276831220846328,0.01272693972441341
+1000,mod_poisson_residual[z=0.3],0.7404704447540648,0.7391437027322936,0.0013267420217711878
+1000,mod_poisson_residual[z=1],0.07778310524468707,0.07714970570030037,0.0006333995443866952
+1000,mode,9.0,9.5,0.5
+1000,ldp_tail[x=2],0.0004553112596811729,0.000793790572232428,0.00033847931255125504
+1000,ldp_tail[x=0.5],0.06025588519819109,0.06937184971378466,0.009115964515593565
+"""
+
+# the faces table has 170574 bytes of exact integers; its SHA-256 pins every byte
+FACES_GOLDEN_SHA256 = "72878406fbe4be1ea4ddb29e78ef3f8d1da66bee2d9d258cd2617c63a7b6c741"
+
+
+def test_cli_stdout_is_byte_identical_to_the_fraction_heads(capsys):
+    with fresh_cache():
+        assert cli_main(["asymptotics", "--n", "300,1000", "--k", "1", "--r", "1/2"]) == 0
+        assert capsys.readouterr().out == ASYMPTOTICS_GOLDEN
+        assert cli_main(["faces", "--d-range", "3:7", "--n-range", "1500:1503", "--k", "2"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (170574, FACES_GOLDEN_SHA256)
