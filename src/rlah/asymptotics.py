@@ -217,11 +217,20 @@ def _gamma_ratio(a: float, b: float) -> float:
 
 
 def psi_limit(k: int, r: float, z: float) -> float:
-    """Mod-Poisson limit Gamma(k+2r)/Gamma((k+r) e^z + r); Psi(0) = 1 exactly."""
+    """Mod-Poisson limit Gamma(k+2r)/Gamma((k+r) e^z + r); Psi(0) = 1 exactly.
+
+    A z whose (k+r) e^z + r is not finite in binary64 raises DomainError.
+    """
     kr = k + float(r)
 
     def arg(u: float) -> float:
-        return kr * math.exp(u) + float(r)
+        try:
+            value = kr * math.exp(u) + float(r)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError(f"Psi({u}) needs (k+r) e^z + r finite in binary64")
+        return value
 
     return _gamma_ratio(arg(0.0), arg(z))
 
@@ -445,14 +454,22 @@ def mod_poisson_residual(
     Methods: "exact" (default) sums e^{z j} against the exact head PMF with a
     certified truncation; "pgf" evaluates the exact generating function at
     e^z rounded once to its 53-bit dyadic (small n only); "logspace" uses the
-    binary64 log-space row.
+    binary64 log-space row.  A z that is not finite, or whose lambda_n (e^z - 1)
+    overflows binary64, raises DomainError.
     """
     r = as_rational(r)
     AdmissibleTriple(n, k, r)
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got {z}")
     if z == 0.0:
         return 1.0  # numerator and denominator coincide identically
     lam = lambda_n(n, k, float(r))
-    scale = lam * (math.exp(z) - 1.0)
+    try:
+        scale = lam * (math.exp(z) - 1.0)
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf:
+        raise DomainError(f"lambda_n (e^z - 1) overflows binary64 at z={z}")
     if method == "exact":
         return math.exp(_log_mgf_exact(n, k, r, z) - scale)
     if method == "pgf":

@@ -25,14 +25,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .distribution import AdmissibleTriple, LahDistribution, build_distribution, pmf_head
+from .distribution import (
+    AdmissibleTriple,
+    LahDistribution,
+    _cache_lock,
+    _prefix,
+    build_distribution,
+    pmf_head,
+)
 from .errors import CapacityExceeded, InvalidParameter
 from .rational import as_rational
 from .stirling import (
     StirlingKind,
     effective_n_max,
     factorial,
-    first_kind_prefix,
+    first_kind_prefix,  # unused here, but rlahbench/tracing.py wraps rlah.cones.first_kind_prefix
     stirling_r,
 )
 
@@ -67,13 +74,15 @@ def _check_cap(n: int, n_max: int | None) -> None:
 def _alternating_stirling_sum(n: int, d: int, k: int, *, n_max: int | None = None) -> Fraction:
     """sum_{l>=0} c(n, d-2l-1)_{1/2} * S(d-2l-1, k)_{1/2}; finite by construction.
 
-    Only the first d columns of row n enter, so for large n the row prefix is
-    computed directly instead of filling the triangle.
+    Only the first d columns of row n enter, so for large n they are read
+    from the scaled first-kind prefix of (n, 1/2) that the PMF heads share,
+    c(n, j)_{1/2} = b[j] / 2^(n-j), instead of filling the triangle.
     """
     _check_cap(n, n_max)
     if n > _TABLE_PATH_LIMIT:
-        prefix = first_kind_prefix(n, _HALF, d - 1)
-        first = lambda j: prefix[j]
+        with _cache_lock:
+            b = _prefix(n, _HALF, d - 1)
+        first = lambda j: Fraction(b[j], 2 ** (n - j))
     else:
         first = lambda j: stirling_r(StirlingKind.FIRST, n, j, _HALF, n_max=n_max)
     total = Fraction(0)

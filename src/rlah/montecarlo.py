@@ -18,14 +18,16 @@ g = rank(S) - k of its inequality rows are tight.  With u = N w, N an
 integer basis of span(A)^perp within V, the question lives in g variables:
 for g <= 2 every g-subset B of the other generators is tried as the tight
 set (the vertex test), and for g >= 3 an exact LP over w decides it (the
-simplex of :mod:`rlah.simplex`).  The certificate is the vertex or LP
-point u, which callers can re-check against the sums.  Pointedness is the
-case A = {} (g = rank(S)).
+simplex of :mod:`rlah.simplex`, which pivots an integer tableau over one
+common denominator, so an LP on these integer rows never leaves the
+integers).  The certificate is the vertex or LP point u, which callers can
+re-check against the sums.  Pointedness is the case A = {} (g = rank(S)).
 
 Uniqueness of monotone-signal recovery is decided on the kernel polytope
 K = {w : x + N w in B^(n)}: K contains 0 always, and equals {0} iff each
 kernel coordinate has maximum and minimum 0 over K (unboundedness counting
-as failure), by exact LPs.
+as failure), by exact LPs on the integer kernel basis; the same simplex
+decides the LPs of the three-way cone classification.
 """
 
 from __future__ import annotations

@@ -169,6 +169,16 @@ def test_gamma_ratio_goes_to_log_space_only_on_overflow():
         ldp_tail_ratio(100, 1, HALF, 200.0)  # approximant underflows to 0
 
 
+@pytest.mark.parametrize("z", [800.0, 709.0, math.inf, -math.inf, math.nan])
+def test_mod_poisson_refuses_z_past_binary64(z):
+    # math.exp(800) overflows; e^709 is finite but lambda_n (e^709 - 1) is not
+    with pytest.raises(DomainError):
+        mod_poisson_residual(100, 1, HALF, z)
+    if z != -math.inf:
+        with pytest.raises(DomainError):
+            psi_limit(1, 0.5, z)
+
+
 def test_limit_approximant_bundle():
     approx = LimitApproximant(1000, 1, 0.5)
     assert approx.lambda_n > 0

@@ -218,6 +218,9 @@ def test_output_past_the_int_to_str_limit_exits_3(capsys, argv):
         (("--r", "1/2", "--z", "5"), 0),  # Gamma((k+r) e^5 + r) overflows math.gamma
         (("--r", "0", "--z", "-800"), 2),  # (k+r) e^-800 + r underflows to the pole at 0
         (("--r", "1/2", "--x", "200"), 0),  # the tail approximant underflows to 0
+        (("--r", "1/2", "--z", "800"), 2),  # math.exp(800) overflows binary64
+        (("--r", "1/2", "--z", "709"), 2),  # e^709 is finite, lambda_n (e^709 - 1) is not
+        (("--r", "1/2", "--z=-inf"), 2),
     ],
 )
 def test_asymptotics_overflow_inputs(capsys, extra, code_want):
