@@ -1,29 +1,26 @@
 """Exact and asymptotic computation of the r-Lah distribution.
 
-Building blocks (r-Stirling numbers of both kinds, r-Lah numbers) are exact
-rational arithmetic; limit-theorem approximants (mod-Poisson, CLT, local
-limit, mode location, precise large deviations) live on the floating side
-and are compared against certified exact prefixes of the distribution.  Two
-application layers consume the exact core: expected face counts of cones
-generated by random walks, and unique-recovery probabilities for sparse
-monotone signals, each with a Monte Carlo verifier built on exact integer
-elimination and an exact simplex on a fraction-free integer tableau.
+Building blocks (r-Stirling numbers of both kinds, r-Lah numbers) are exact,
+and every PMF value is read from one kind of scaled integer row.
+Limit-theorem approximants (mod-Poisson, CLT, local limit, mode location,
+precise large deviations) live on the floating side and are compared
+against certified exact prefixes of the distribution.  Two application
+layers consume the exact core: expected face counts of cones generated by
+random walks, and unique-recovery probabilities for sparse monotone signals,
+each with a Monte Carlo verifier built on exact integer elimination and an
+exact simplex on a fraction-free integer tableau.
 """
 
 from .asymptotics import (
-    LimitApproximant,
-    LogSpaceTable,
     clt_normalize,
     digamma,
     expectation_asymptotic,
-    gamma_real,
     kolmogorov_distance,
     ldp_lower_tail,
     ldp_point,
     ldp_upper_tail,
     llt_gaussian_pmf,
     llt_sup_gap,
-    log_gamma_real,
     log_pmf_row,
     mod_poisson_residual,
     mode_prediction,
@@ -74,13 +71,11 @@ from .montecarlo import (
 from .rational import as_rational, format_rational
 from .stirling import (
     DEFAULT_N_MAX,
-    RStirlingTable,
     StirlingKind,
     first_kind_prefix,
     gen_binomial,
     harmonic_diff,
     lah_r,
-    second_kind_column,
     stirling_r,
     stirling_r_poly,
 )

@@ -1,11 +1,11 @@
 """Floating-point path and limit-theorem approximants.
 
 Two kinds of machinery live here.  The first is the binary64 counterpart of
-the exact tables: log-space r-Stirling triangles filled by the same
-recurrences through log-sum-exp, usable far beyond the exact-table cap.  The
-second is the collection of asymptotic predictions for the r-Lah
-distribution with k, r fixed and n large: the Poisson-scale parameter
-lambda_n = (k+r) log n, the mod-Poisson limit
+the exact PMF: one log-space PMF row, whose r-Stirling slices are rolled
+through log-sum-exp, usable far beyond the exact cap.  The second is the
+collection of asymptotic predictions for the r-Lah distribution with k, r
+fixed and n large: the Poisson-scale parameter lambda_n = (k+r) log n, the
+mod-Poisson limit
 
     Psi(z) = Gamma(k+2r) / Gamma((k+r) e^z + r),
 
@@ -24,7 +24,6 @@ tails come from complementing the head CDF.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
@@ -33,7 +32,6 @@ import numpy as np
 from .distribution import AdmissibleTriple, PmfHead, pgf_eval, pmf_head
 from .errors import CapacityExceeded, DomainError, InvalidParameter
 from .rational import RationalLike, as_rational
-from .stirling import StirlingKind
 
 DEFAULT_N_MAX_FLOAT = 20_000
 _PGF_METHOD_N_CAP = 512
@@ -41,22 +39,6 @@ _HEAD_COST_CAP = 40_000_000  # j_hi * n guard for the exact-window path
 
 
 # -- real special functions ---------------------------------------------------
-
-def gamma_real(x: float) -> float:
-    """Gamma(x) for 0 < x <= 170; relative error well under 1e-12 on [0.5, 50]."""
-    if x <= 0:
-        raise DomainError(f"gamma_real requires x > 0, got {x}")
-    if x > 170:
-        raise DomainError(f"gamma_real overflows for x > 170 (got {x}); use log_gamma_real")
-    return math.gamma(x)
-
-
-def log_gamma_real(x: float) -> float:
-    """log Gamma(x) for x > 0 (no overflow guard needed)."""
-    if x <= 0:
-        raise DomainError(f"log_gamma_real requires x > 0, got {x}")
-    return math.lgamma(x)
-
 
 def digamma(x: float) -> float:
     """Gamma'(x)/Gamma(x) for x > 0: recurrence shift to x >= 10, then the
@@ -86,76 +68,11 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-# -- log-space tables ---------------------------------------------------------
+# -- log-space PMF row ----------------------------------------------------------
 
-class LogSpaceTable:
-    """Triangle of log r-Stirling numbers (natural log, -inf for zero).
-
-    Filled row by row by the exact recurrences, carried through
-    ``logaddexp``; immutable once a row exists.  Validated against the exact
-    tables to 1e-9 relative error on the log scale for n <= 64.
-    """
-
-    def __init__(self, kind: StirlingKind, r: float, n_max: int = DEFAULT_N_MAX_FLOAT):
-        if r < 0:
-            raise InvalidParameter(f"r must be >= 0, got {r}")
-        self.kind = kind
-        self.r = float(r)
-        self.n_max = n_max
-        self._rows: List[np.ndarray] = [np.zeros(1)]
-
-    @property
-    def max_filled(self) -> int:
-        return len(self._rows) - 1
-
-    def ensure(self, n: int) -> None:
-        if n > self.n_max:
-            raise CapacityExceeded(f"n={n} exceeds n_max_float={self.n_max}")
-        r = self.r
-        first = self.kind is StirlingKind.FIRST
-        while self.max_filled < n:
-            m = self.max_filled + 1
-            prev = self._rows[-1]
-            row = np.empty(m + 1)
-            with np.errstate(divide="ignore"):
-                if first:
-                    coeff = math.log(m + r - 1) if m + r - 1 > 0 else -math.inf
-                    row[: m] = prev + coeff
-                else:
-                    row[: m] = prev + np.log(np.arange(m, dtype=float) + r)
-            row[1: m] = np.logaddexp(row[1: m], prev[: m - 1])
-            row[m] = prev[m - 1]
-            self._rows.append(row)
-
-    def value(self, n: int, k: int) -> float:
-        """log of entry (n, k); -inf when k < 0 or k > n."""
-        if n < 0:
-            raise InvalidParameter(f"n must be >= 0, got {n}")
-        if k < 0 or k > n:
-            return -math.inf
-        self.ensure(n)
-        return float(self._rows[n][k])
-
-    def row(self, n: int) -> np.ndarray:
-        self.ensure(n)
-        return self._rows[n].copy()
-
-
-def log_pmf_row(n: int, k: int, r: float, *, n_max: int = DEFAULT_N_MAX_FLOAT) -> np.ndarray:
-    """log P[X = j] for j = 0..n in binary64, O(n^2) flops and O(n) memory.
-
-    The first-kind row is rolled forward without storing the triangle; the
-    second-kind column for the fixed k is a linear recurrence.  Normalized by
-    the log-sum-exp of the products, so the float PMF sums to 1.
-    """
-    if n > n_max:
-        raise CapacityExceeded(f"n={n} exceeds n_max_float={n_max}")
-    if n < 1 or not 0 <= k <= n:
-        raise InvalidParameter(f"need n >= 1 and 0 <= k <= n, got n={n}, k={k}")
-    if r < 0 or (k == 0 and r == 0):
-        raise InvalidParameter("need r >= 0 and max(k, r) > 0")
-    r = float(r)
-    # first kind, rolling row
+def _log_first_kind_row(n: int, r: float) -> np.ndarray:
+    """log c(n, j)_r for j = 0..n (-inf for 0), rolled forward row by row
+    through log-sum-exp without storing the triangle."""
     fir = np.full(n + 1, -math.inf)
     fir[0] = 0.0
     buf = np.empty(n + 1)
@@ -165,23 +82,38 @@ def log_pmf_row(n: int, k: int, r: float, *, n_max: int = DEFAULT_N_MAX_FLOAT) -
         buf[1: m] = np.logaddexp(buf[1: m], fir[: m - 1])
         buf[m] = fir[m - 1]
         fir[: m + 1] = buf[: m + 1]
-    # second kind, one column; S(j,0)_r = r^j with S(0,0) = 1 for every r
-    sec = np.full(n + 1, -math.inf)
-    prev_col = np.full(n + 1, -math.inf)
-    prev_col[0] = 0.0
+    return fir
+
+
+def _log_second_kind_column(k: int, r: float, n: int) -> np.ndarray:
+    """log S(j, k)_r for j = 0..n (-inf for 0), one column by its linear
+    recurrence; S(j,0)_r = r^j with S(0,0) = 1 for every r."""
+    col = np.full(n + 1, -math.inf)
+    col[0] = 0.0
     if r > 0:
-        prev_col[1:] = np.arange(1, n + 1) * math.log(r)
-    if k == 0:
-        sec = prev_col
+        col[1:] = np.arange(1, n + 1) * math.log(r)
     for kk in range(1, k + 1):
-        col = np.full(n + 1, -math.inf)
+        prev, col = col, np.full(n + 1, -math.inf)
         lc = math.log(kk + r)
         for j in range(1, n + 1):
-            col[j] = np.logaddexp(col[j - 1] + lc, prev_col[j - 1])
-        prev_col = col
-        if kk == k:
-            sec = col
-    out = fir + sec
+            col[j] = np.logaddexp(col[j - 1] + lc, prev[j - 1])
+    return col
+
+
+def log_pmf_row(n: int, k: int, r: float, *, n_max: int = DEFAULT_N_MAX_FLOAT) -> np.ndarray:
+    """log P[X = j] for j = 0..n in binary64, O(n^2) flops and O(n) memory.
+
+    The products of the log-space first-kind row and second-kind column are
+    normalized by their log-sum-exp, so the float PMF sums to 1.
+    """
+    if n > n_max:
+        raise CapacityExceeded(f"n={n} exceeds n_max_float={n_max}")
+    if n < 1 or not 0 <= k <= n:
+        raise InvalidParameter(f"need n >= 1 and 0 <= k <= n, got n={n}, k={k}")
+    if r < 0 or (k == 0 and r == 0):
+        raise InvalidParameter("need r >= 0 and max(k, r) > 0")
+    r = float(r)
+    out = _log_first_kind_row(n, r) + _log_second_kind_column(k, r, n)
     finite = out[np.isfinite(out)]
     top = finite.max()
     out -= top + math.log(np.exp(finite - top).sum())
@@ -233,31 +165,6 @@ def psi_limit(k: int, r: float, z: float) -> float:
         return value
 
     return _gamma_ratio(arg(0.0), arg(z))
-
-
-@dataclass(frozen=True)
-class LimitApproximant:
-    """Asymptotic predictions for Lah(n,k)_r at fixed (k, r), large n."""
-
-    n: int
-    k: int
-    r: float
-    lambda_n: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambda_n", lambda_n(self.n, self.k, self.r))
-
-    def psi_limit(self, z: float) -> float:
-        return psi_limit(self.k, self.r, z)
-
-    def clt_normalize(self, x: float) -> float:
-        return clt_normalize(x, self.n, self.k, self.r)
-
-    def llt_gaussian_pmf(self, j: float) -> float:
-        return llt_gaussian_pmf(j, self.n, self.k, self.r)
-
-    def mode_prediction(self) -> Tuple[int, int]:
-        return mode_prediction(self.n, self.k, self.r)
 
 
 def expectation_asymptotic(
@@ -316,9 +223,11 @@ def ldp_lattice_point(n: int, k: int, r: float, x: float) -> Tuple[int, float]:
     Recomputing x_n from j makes (k+r) x_n log n an integer by construction,
     which is the lattice condition the large-deviation formulas assume.
     """
-    if x <= 0:
+    if not x > 0:  # also refuses a NaN x
         raise DomainError(f"x must be > 0, got {x}")
     lam = lambda_n(n, k, r)
+    if x * lam == math.inf:
+        raise DomainError(f"x={x} puts the lattice point past binary64")
     j = round(x * lam)
     if j < 1:
         raise DomainError(f"x={x} is too small: nearest lattice point is j={j}")

@@ -1,8 +1,9 @@
 """Face counts of the random-walk cone and unique-recovery probabilities.
 
-Everything here is a finite exact-rational sum over r-Stirling tables with
-r = 1/2.  The expected number of k-dimensional faces of the cone spanned by
-the partial sums of an n-step walk in R^d is
+Everything here is a finite exact-rational sum over r-Stirling numbers with
+r = 1/2, read from the scaled integer slices that the PMF rows share.  The
+expected number of k-dimensional faces of the cone spanned by the partial
+sums of an n-step walk in R^d is
 
     E[f_k] = (2 k!/n!) * sum_l c(n, d-2l-1)_{1/2} * S(d-2l-1, k)_{1/2},
 
@@ -44,7 +45,6 @@ from .stirling import (
 )
 
 _HALF = Fraction(1, 2)
-_TABLE_PATH_LIMIT = 128  # beyond this, row prefixes beat filling the triangle
 _PARITY_SUM_LIMIT = 512  # full-support sums need the materialized distribution
 
 
@@ -74,22 +74,18 @@ def _check_cap(n: int, n_max: int | None) -> None:
 def _alternating_stirling_sum(n: int, d: int, k: int, *, n_max: int | None = None) -> Fraction:
     """sum_{l>=0} c(n, d-2l-1)_{1/2} * S(d-2l-1, k)_{1/2}; finite by construction.
 
-    Only the first d columns of row n enter, so for large n they are read
-    from the scaled first-kind prefix of (n, 1/2) that the PMF heads share,
-    c(n, j)_{1/2} = b[j] / 2^(n-j), instead of filling the triangle.
+    Only the first d columns of row n enter, so they are read from the
+    scaled first-kind prefix of (n, 1/2) that the PMF heads share,
+    c(n, j)_{1/2} = b[j] / 2^(n-j).
     """
     _check_cap(n, n_max)
-    if n > _TABLE_PATH_LIMIT:
-        with _cache_lock:
-            b = _prefix(n, _HALF, d - 1)
-        first = lambda j: Fraction(b[j], 2 ** (n - j))
-    else:
-        first = lambda j: stirling_r(StirlingKind.FIRST, n, j, _HALF, n_max=n_max)
+    if d - 1 < k:
+        return Fraction(0)  # no term; d = 0 would ask for an empty prefix
+    with _cache_lock:
+        b = _prefix(n, _HALF, d - 1)
     total = Fraction(0)
-    j = d - 1
-    while j >= k:
-        total += first(j) * stirling_r(StirlingKind.SECOND, j, k, _HALF, n_max=n_max)
-        j -= 2
+    for j in range(d - 1, k - 1, -2):
+        total += Fraction(b[j], 2 ** (n - j)) * stirling_r(StirlingKind.SECOND, j, k, _HALF, n_max=n_max)
     return total
 
 

@@ -1,26 +1,30 @@
-"""The r-Lah distribution, materialized exactly.
+"""The r-Lah distribution, materialized exactly on one integer kernel.
 
 For an admissible triple (n, k, r) the law lives on {k, ..., n} with
 
     P[X = j] = c(n,j)_r * S(j,k)_r / L(n,k)_r,
 
 where c and S are the r-Stirling numbers of the first and second kind and
-L(n,k)_r the r-Lah number.  Everything in this module is exact rational
-arithmetic: PMF, CDF, moments, parity split, mode, and the probability
-generating function.  Sampling is the only place a float appears, and there
-only in the final comparison of a 53-bit uniform against once-rounded exact
-CDF thresholds.
+L(n,k)_r the r-Lah number.  Everything in this module is exact: PMF, CDF,
+moments, parity split, mode, and the probability generating function.
+Sampling is the only place a float appears, and there only in the final
+comparison of a 53-bit uniform against once-rounded exact CDF thresholds.
 
-``pmf_head`` is the large-n workhorse: it materializes the exact PMF on a
-prefix {k, ..., j_hi} of the support in O(j_hi * n) big-integer work, which
-is what makes exact tail sums, CDF heads and modes reachable at n = 10^4
-where the full triangle is out of the question.  A head is kept as integers
-only: one row per (n, k, r) of prefix sums of the weights b[j]*t[j] over the
-single denominator q^n L(n,k)_r, grown upward and shared by every window of
-that key, and one first-kind prefix per (n, r), shared by every k.  CDF
-values, tails and floats are read off those sums, and a Fraction is built
-only at the API boundary.  Rows and prefixes share one byte budget,
-``_CACHE_BUDGET_BYTES``, and the least recently used are evicted first.
+Every PMF value comes from one kind of object, an integer head row.  With b
+the scaled first-kind prefix of row n and t the scaled second-kind column k,
+the weight of j is w[j] = b[j] * t[j] and P[X = j] = w[j] / den, where
+den = q^n L(n,k)_r is the sum of all weights.  A row holds the prefix sums
+of the weights, is grown upward and is shared by every window of its
+(n, k, r); one first-kind prefix per (n, r) is shared by every k.
+
+``pmf_head`` is a view of a row's prefix {k, ..., j_hi}, at O(j_hi * n)
+big-integer work, which is what makes exact tail sums, CDF heads and modes
+reachable at n = 10^4.  ``build_distribution`` is the view of the full row:
+its moments, parity split, mode and log-concavity are integer sums and
+comparisons over den.  CDF values, tails and floats are read off the sums,
+and a Fraction is built only at the API boundary.  Rows and prefixes share
+one byte budget, ``_CACHE_BUDGET_BYTES``, and the least recently used are
+evicted first.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ import numpy as np
 from .errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
 from .rational import RationalLike, as_rational, check_decimal_digits, format_rational
 from .stirling import (
-    StirlingKind,
     _first_kind_prefix_scaled,
     _second_kind_column_scaled,
     effective_n_max,
@@ -49,7 +52,7 @@ from .stirling import (
     gen_binomial,
     harmonic_diff,
     lah_r,
-    stirling_r,
+    stirling_r,  # unused here, but rlahbench/tracing.py wraps rlah.distribution.stirling_r
 )
 
 
@@ -80,32 +83,41 @@ class AdmissibleTriple:
 class LahDistribution:
     """Fully materialized r-Lah distribution: exact PMF/CDF over {k, ..., n}.
 
-    Immutable after construction; safe for concurrent reads.  Use
-    :func:`build_distribution` to construct.
+    It keeps the integer prefix sums ``cum`` of the full head row of
+    (n, k, r) and their one denominator ``den = q^n L(n,k)_r``, so that
+    P[X <= k+i] = cum[i] / den.  Moments, parity, mode and log-concavity are
+    integer sums and comparisons over ``den``; ``pmf`` and ``cdf`` build one
+    Fraction per read.  Immutable after construction; safe for concurrent
+    reads.  Use :func:`build_distribution` to construct.
     """
 
-    def __init__(self, params: AdmissibleTriple, pmf: Sequence[Fraction], normalizer: Fraction):
+    def __init__(self, params: AdmissibleTriple, cum: Sequence[int], den: int):
         self.params = params
-        self._pmf = tuple(pmf)
-        self.normalizer = normalizer
-        cdf = []
-        acc = Fraction(0)
-        for p in self._pmf:
-            acc += p
-            cdf.append(acc)
-        self._cdf = tuple(cdf)
-        if self._cdf[-1] != 1:
-            raise AssertionError("PMF does not sum to 1: table fill is broken")
+        self.cum = tuple(cum)
+        self.den = den
+        if self.cum[-1] != den:
+            raise AssertionError("PMF does not sum to 1: the head row is broken")
 
     @property
     def support(self) -> range:
         return range(self.params.k, self.params.n + 1)
 
+    @property
+    def normalizer(self) -> Fraction:
+        """L(n,k)_r = den / q^n."""
+        return Fraction(self.den, self.params.r.denominator ** self.params.n)
+
+    def _weights(self) -> List[int]:
+        """Integer weights w[k..n], all over ``den``."""
+        cum = self.cum
+        return [cum[0]] + [b - a for a, b in zip(cum, cum[1:])]
+
     def pmf(self, j: int) -> Fraction:
         """P[X = j]; 0 outside the support."""
-        if j < self.params.k or j > self.params.n:
+        i = j - self.params.k
+        if i < 0 or j > self.params.n:
             return Fraction(0)
-        return self._pmf[j - self.params.k]
+        return Fraction(self.cum[i] - self.cum[i - 1] if i else self.cum[0], self.den)
 
     def cdf(self, j: int) -> Fraction:
         """P[X <= j]."""
@@ -113,10 +125,10 @@ class LahDistribution:
             return Fraction(0)
         if j >= self.params.n:
             return Fraction(1)
-        return self._cdf[j - self.params.k]
+        return Fraction(self.cum[j - self.params.k], self.den)
 
     def pmf_items(self) -> List[Tuple[int, Fraction]]:
-        return list(zip(self.support, self._pmf))
+        return [(j, Fraction(w, self.den)) for j, w in zip(self.support, self._weights())]
 
     # -- moments -------------------------------------------------------------
 
@@ -137,52 +149,62 @@ class LahDistribution:
         return Fraction(k) * (n + 2 * r) / (n - (k - 1)) * h_top + r * h_low
 
     def mean_via_pmf(self) -> Fraction:
-        return sum((j * p for j, p in zip(self.support, self._pmf)), Fraction(0))
+        return Fraction(sum(j * w for j, w in zip(self.support, self._weights())), self.den)
 
     def variance(self) -> Fraction:
-        # no closed form exists; summation only
-        mean = self.mean_via_pmf()
-        second = sum((j * j * p for j, p in zip(self.support, self._pmf)), Fraction(0))
-        return second - mean * mean
+        # no closed form exists; summation only: (den * sum j^2 w - (sum j w)^2) / den^2
+        first = second = 0
+        for j, w in zip(self.support, self._weights()):
+            first += j * w
+            second += j * j * w
+        return Fraction(self.den * second - first * first, self.den * self.den)
 
     # -- shape ---------------------------------------------------------------
 
     def parity_probabilities(self) -> Tuple[Fraction, Fraction]:
         """(P[X even], P[X odd]); both equal 1/2 whenever n > k."""
-        even = sum((p for j, p in zip(self.support, self._pmf) if j % 2 == 0), Fraction(0))
+        weights = self._weights()
+        even = Fraction(sum(weights[(self.params.k % 2):: 2]), self.den)
         return even, 1 - even
 
     def mode(self) -> Set[int]:
         """All maximizers of the PMF; log-concavity makes them 1 or 2 adjacent ints."""
-        best = max(self._pmf)
-        return {j for j, p in zip(self.support, self._pmf) if p == best}
+        weights = self._weights()
+        best = max(weights)
+        return {j for j, w in zip(self.support, weights) if w == best}
 
     def certify_log_concavity(self) -> Tuple[bool, int | None]:
-        """Check pmf[i]^2 >= pmf[i-1]*pmf[i+1] on the interior; returns
-        (True, None) or (False, first violating index)."""
-        p = self._pmf
-        for i in range(1, len(p) - 1):
-            if p[i] * p[i] < p[i - 1] * p[i + 1]:
+        """Check w[i]^2 >= w[i-1]*w[i+1] on the interior (the PMF scaled by
+        den); returns (True, None) or (False, first violating index)."""
+        w = self._weights()
+        for i in range(1, len(w) - 1):
+            if w[i] * w[i] < w[i - 1] * w[i + 1]:
                 return False, i + self.params.k
         return True, None
 
     # -- generating function and sampling -------------------------------------
 
     def pgf(self, t: RationalLike) -> Fraction:
-        """E[t^X] summed directly over the PMF (the oracle path for pgf_eval)."""
+        """E[t^X] summed directly over the PMF (the oracle path for pgf_eval).
+
+        With t = a/b this is sum_j w[j] a^j b^(n-j) / (den b^n), one integer sum.
+        """
         t = as_rational(t)
-        return sum((t ** j * p for j, p in zip(self.support, self._pmf)), Fraction(0))
+        a, b, n = t.numerator, t.denominator, self.params.n
+        total = sum(w * a ** j * b ** (n - j) for j, w in zip(self.support, self._weights()))
+        return Fraction(total, self.den * b ** n)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Inverse-CDF draws against once-rounded binary64 thresholds.
 
-        Each exact CDF value is rounded to the nearest double once; ties of
-        the uniform against a threshold resolve upward.  Per-draw distortion
-        is at most 2^-53.  Deterministic given the generator state.
+        Each exact CDF value is rounded to the nearest double once (int true
+        division is correctly rounded, so cum[i] / den is float(P[X <= k+i]));
+        ties of the uniform against a threshold resolve upward.  Per-draw
+        distortion is at most 2^-53.  Deterministic given the generator state.
         """
         if count < 0:
             raise InvalidParameter(f"count must be >= 0, got {count}")
-        thresholds = np.array([float(c) for c in self._cdf])
+        thresholds = np.array([c / self.den for c in self.cum])
         u = rng.random(count)
         idx = np.searchsorted(thresholds, u, side="right")
         return idx + self.params.k
@@ -191,7 +213,7 @@ class LahDistribution:
 
     def to_rows(self, *, include_cdf: bool = False) -> List[dict]:
         rows = []
-        for j, p, c in zip(self.support, self._pmf, self._cdf):
+        for j, p in self.pmf_items():
             row = {
                 "j": j,
                 "pmf_num": check_decimal_digits(p.numerator),
@@ -199,6 +221,7 @@ class LahDistribution:
                 "pmf_float": float(p),
             }
             if include_cdf:
+                c = self.cdf(j)
                 row["cdf_num"] = check_decimal_digits(c.numerator)
                 row["cdf_den"] = check_decimal_digits(c.denominator)
             rows.append(row)
@@ -219,8 +242,8 @@ class LahDistribution:
             "k": self.params.k,
             "r": format_rational(self.params.r),
             "normalizer": format_rational(self.normalizer),
-            "pmf": {str(j): format_rational(p) for j, p in zip(self.support, self._pmf)},
-            "cdf": {str(j): format_rational(c) for j, c in zip(self.support, self._cdf)},
+            "pmf": {str(j): format_rational(p) for j, p in self.pmf_items()},
+            "cdf": {str(j): format_rational(self.cdf(j)) for j in self.support},
         }
 
     def csv_text(self, *, include_cdf: bool = False) -> str:
@@ -230,19 +253,14 @@ class LahDistribution:
 
 
 def build_distribution(params: AdmissibleTriple, *, n_max: int | None = None) -> LahDistribution:
-    """Materialize the exact r-Lah distribution for an admissible triple."""
-    n, k, r = params.n, params.k, params.r
+    """Materialize the exact r-Lah distribution: a view of the full head row
+    of (n, k, r), the same cached row that ``pmf_head`` windows grow."""
+    n = params.n
     cap = effective_n_max(n_max)
     if n > cap:
         raise CapacityExceeded(f"n={n} exceeds n_max={cap}")
-    normalizer = lah_r(n, k, r, n_max=n_max)
-    pmf = [
-        stirling_r(StirlingKind.FIRST, n, j, r, n_max=n_max)
-        * stirling_r(StirlingKind.SECOND, j, k, r, n_max=n_max)
-        / normalizer
-        for j in range(k, n + 1)
-    ]
-    return LahDistribution(params, pmf, normalizer)
+    row = _head_row(n, params.k, params.r, n)
+    return LahDistribution(params, row.cum, row.den)
 
 
 def expectation_exact(n: int, k: int, r: RationalLike) -> Fraction:
@@ -467,8 +485,8 @@ def _pmf_head_cached(n: int, k: int, r: Fraction, j_hi: int) -> PmfHead:
 def pmf_head(n: int, k: int, r: RationalLike, j_hi: int) -> PmfHead:
     """Exact PMF prefix on {k, ..., j_hi}; j_hi is clamped to n.
 
-    Unlike :func:`build_distribution` this does not fill (or cap at) the
-    triangle: cost is O(j_hi * n) big-integer operations, fine at n = 10^4
+    Unlike :func:`build_distribution` this neither covers the whole support
+    nor caps n: cost is O(j_hi * n) big-integer operations, fine at n = 10^4
     for the j_hi ~ 100 these distributions concentrate under.  Windows of
     one (n, k, r) share one row, and every k at one (n, r) shares one
     first-kind prefix.

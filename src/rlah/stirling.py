@@ -1,21 +1,23 @@
 """Exact r-Stirling and r-Lah numbers for rational r >= 0.
 
-Tables of both kinds are filled row by row from the recurrences
+The two kinds satisfy the recurrences
 
     first kind:  c(n,k) = (n+r-1) * c(n-1,k) + c(n-1,k-1)
     second kind: S(n,k) = (k+r)   * S(n-1,k) + S(n-1,k-1)
 
-with c(0,0) = S(0,0) = 1 and value 0 outside 0 <= k <= n.  Entries are exact
-Fractions; tables are memoized per (kind, r) and immutable once a row is
-filled.  The polynomial-in-r formulas over ordinary Stirling numbers are kept
-as an independent cross-validation path, not as the production fill.
+with c(0,0) = S(0,0) = 1 and value 0 outside 0 <= k <= n.  Production
+values come from two exact integer slices, with the denominator q of r
+cleared: the first-kind row n is the coefficient list of
+(x+r)(x+r+1)...(x+r+n-1), so a prefix of it is grown in O(prefix * n)
+big-integer operations, and a single second-kind column is a linear
+recurrence in n.  ``stirling_r`` reads one entry from them; the PMF rows of
+:mod:`rlah.distribution` read whole slices.  A Fraction is built only at the
+boundary.
 
-For large n the full triangle is prohibitive, but two cheap exact slices are
-enough for every statistic this package needs: the first-kind row n is the
-coefficient list of (x+r)(x+r+1)...(x+r+n-1), so a prefix of it can be grown
-in O(prefix * n) big-integer operations, and a single second-kind column is a
-linear recurrence in n.  Both are computed over scaled integers (clearing the
-denominator q of r) and returned as exact Fractions.
+``RStirlingTable`` fills the whole triangle of one kind by the recurrences
+above, in Fractions.  No production path reads it: it is the recurrence
+behind ``stirling_r_poly``, the polynomial-in-r formula over ordinary
+Stirling numbers that tests use as an independent oracle.
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ def _check_r(r: Fraction) -> Fraction:
 
 
 class RStirlingTable:
-    """Memoized triangle of r-Stirling numbers of one kind, for one fixed r.
+    """Memoized triangle of r-Stirling numbers of one kind, for one fixed r:
+    the oracle side of the tests and of ``stirling_r_poly``, never a
+    production route.
 
     Rows are immutable tuples once appended; growing the table is
     single-writer (guarded by a per-table lock), concurrent reads of filled
@@ -130,11 +134,23 @@ def stirling_r(
     *,
     n_max: int | None = None,
 ) -> Fraction:
-    """r-Stirling number of the given kind, from the memoized recurrence table."""
+    """r-Stirling number of the given kind, read from one scaled integer slice.
+
+    The first kind is entry k of the prefix of row n, over q^(n-k); the
+    second kind is entry n of column k, over q^n.
+    """
     cap = effective_n_max(n_max)
     if n > cap:
         raise CapacityExceeded(f"n={n} exceeds n_max={cap}")
-    return table_for(kind, r).value(n, k)
+    r = _check_r(as_rational(r))
+    if n < 0:
+        raise InvalidParameter(f"n must be >= 0, got {n}")
+    if k < 0 or k > n:
+        return Fraction(0)
+    q = r.denominator
+    if kind is StirlingKind.FIRST:
+        return Fraction(_first_kind_prefix_scaled(n, r, k)[k], q ** (n - k))
+    return Fraction(_second_kind_column_scaled(k, r, n)[n], q ** n)
 
 
 def stirling_r_poly(
@@ -150,7 +166,8 @@ def stirling_r_poly(
     first kind:  sum_j c(n,j) * C(j,k) * r^(j-k)
     second kind: sum_j C(n,j) * S(j,k) * r^(n-j)
 
-    Exists as an independent oracle for cross-validating the recurrence path.
+    An independent oracle for the integer slices behind :func:`stirling_r`;
+    the ordinary Stirling numbers come from the r = 0 recurrence triangle.
     """
     cap = effective_n_max(n_max)
     if n > cap:
@@ -247,18 +264,23 @@ def _first_kind_prefix_scaled(n: int, r: Fraction, j_max: int) -> List[int]:
 
 
 def _second_kind_column_scaled(k: int, r: Fraction, j_max: int) -> List[int]:
-    """Integers T with S(j,k)_r = T[j] * q^(-j), from the scaled column recurrence
+    """Integers T with S(j,k)_r = T[j] * q^(-j), j = 0..j_max, from the scaled recurrence
 
     T[j, kk] = (kk*q + p) * T[j-1, kk] + q * T[j-1, kk-1],  T[0, 0] = 1.
+
+    T[j, kk] is 0 for j < kk, and T[j_max, k] needs T[j, kk] only for
+    j - kk <= j_max - k, so each column is carried on that band alone:
+    u[d] = T[kk+d, kk].  Cost is O(k * (j_max - k)) big-integer operations.
     """
     p, q = r.numerator, r.denominator
-    cols = [[0] * (j_max + 1) for _ in range(k + 1)]
-    cols[0][0] = 1
-    for j in range(1, j_max + 1):
-        cols[0][j] = cols[0][j - 1] * p
-        for kk in range(1, k + 1):
-            cols[kk][j] = (kk * q + p) * cols[kk][j - 1] + q * cols[kk - 1][j - 1]
-    return cols[k]
+    u = [p ** d for d in range(j_max - k + 1)]
+    for kk in range(1, k + 1):
+        c = kk * q + p
+        acc = 0
+        for d, below in enumerate(u):
+            acc = c * acc + q * below
+            u[d] = acc
+    return ([0] * k + u)[: j_max + 1]
 
 
 def first_kind_prefix(n: int, r: RationalLike, j_max: int) -> List[Fraction]:
@@ -273,13 +295,3 @@ def first_kind_prefix(n: int, r: RationalLike, j_max: int) -> List[Fraction]:
     q = r.denominator
     b = _first_kind_prefix_scaled(n, r, j_max)
     return [Fraction(bj, q ** (n - j)) for j, bj in enumerate(b)]
-
-
-def second_kind_column(k: int, r: RationalLike, j_max: int) -> List[Fraction]:
-    """Exact S(j,k)_r for j = 0..j_max (one column of the second-kind triangle)."""
-    r = _check_r(as_rational(r))
-    if k < 0 or j_max < 0:
-        raise InvalidParameter("k and j_max must be >= 0")
-    q = r.denominator
-    col = _second_kind_column_scaled(k, r, j_max)
-    return [Fraction(tj, q ** j) for j, tj in enumerate(col)]

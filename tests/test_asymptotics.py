@@ -1,6 +1,6 @@
-"""Floating-path tests: special functions against mpmath, log-space tables
-against the exact triangles, and the limit-theorem approximants against
-exact finite-n distributions."""
+"""Floating-path tests: special functions against mpmath, log-space slices
+against the exact r-Stirling numbers, and the limit-theorem approximants
+against exact finite-n distributions."""
 
 import math
 from fractions import Fraction as F
@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from rlah.asymptotics import (
-    LimitApproximant,
-    LogSpaceTable,
+    _gamma_ratio,
+    _log_first_kind_row,
+    _log_second_kind_column,
     clt_normalize,
     convergence_table,
     digamma,
     expectation_asymptotic,
-    gamma_real,
     kolmogorov_distance,
     lambda_n,
     ldp_lattice_point,
@@ -26,7 +26,6 @@ from rlah.asymptotics import (
     ldp_upper_tail,
     llt_gaussian_pmf,
     llt_sup_gap,
-    log_gamma_real,
     log_pmf_row,
     mod_poisson_residual,
     mode_prediction,
@@ -48,27 +47,33 @@ HALF = F(1, 2)
 # -- special functions ----------------------------------------------------------
 
 class TestGamma:
+    """Gamma values as _gamma_ratio(x, 1), the one gamma route of the package."""
+
     def test_known_values(self):
-        assert gamma_real(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert gamma_real(1.0) == 1.0
-        assert gamma_real(6.0) == pytest.approx(120.0, rel=1e-14)
+        assert _gamma_ratio(0.5, 1.0) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        assert _gamma_ratio(1.0, 1.0) == 1.0
+        assert _gamma_ratio(6.0, 1.0) == pytest.approx(120.0, rel=1e-14)
 
     def test_accuracy_contract_against_mpmath(self):
         for x in np.linspace(0.5, 50.0, 166):
             want = float(mpmath.gamma(x))
-            assert abs(gamma_real(x) - want) <= 1e-12 * abs(want)
+            assert abs(_gamma_ratio(x, 1.0) - want) <= 1e-12 * abs(want)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            gamma_real(0.0)
+            _gamma_ratio(0.0, 1.0)
         with pytest.raises(DomainError):
-            gamma_real(-2.5)
+            _gamma_ratio(-2.5, 1.0)
         with pytest.raises(DomainError):
-            gamma_real(171.0)
+            _gamma_ratio(1.0, 0.0)
+        with pytest.raises(DomainError):
+            _gamma_ratio(200.0, 1.0)  # Gamma(200) is past binary64
 
     def test_log_gamma_large(self):
-        for x in (0.25, 3.75, 200.0, 4096.0):
-            assert log_gamma_real(x) == pytest.approx(float(mpmath.loggamma(x)), rel=1e-13)
+        # past math.gamma's range the ratio comes from lgamma differences
+        for a, b in ((200.0, 199.25), (4096.0, 4093.5), (180.0, 175.0)):
+            want = float(mpmath.gamma(a) / mpmath.gamma(b))
+            assert _gamma_ratio(a, b) == pytest.approx(want, rel=1e-11)
 
 
 class TestDigamma:
@@ -89,17 +94,19 @@ def test_normal_cdf():
     assert normal_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-12)
 
 
-# -- log-space tables -------------------------------------------------------------
+# -- log-space slices of the float PMF row ------------------------------------------
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("kind", [StirlingKind.FIRST, StirlingKind.SECOND])
 def test_logspace_matches_exact(kind, r):
-    table = LogSpaceTable(kind, r, n_max=80)
     r_exact = F(r)
     for n in range(0, 65, 4):
         for k in range(n + 1):
             exact = stirling_r(kind, n, k, r_exact)
-            got = table.value(n, k)
+            if kind is StirlingKind.FIRST:
+                got = _log_first_kind_row(n, r)[k]
+            else:
+                got = _log_second_kind_column(k, r, n)[n]
             if exact == 0:
                 assert got == -math.inf
             else:
@@ -108,18 +115,16 @@ def test_logspace_matches_exact(kind, r):
 
 
 def test_logspace_rows_unimodal():
-    table = LogSpaceTable(StirlingKind.FIRST, 0.5, n_max=70)
     for n in (5, 20, 64):
-        row = table.row(n)
+        row = _log_first_kind_row(n, 0.5)
         top = int(np.argmax(row))
         assert all(np.diff(row[: top + 1]) >= -1e-12)
         assert all(np.diff(row[top:]) <= 1e-12)
 
 
 def test_logspace_capacity():
-    table = LogSpaceTable(StirlingKind.FIRST, 0.5, n_max=10)
     with pytest.raises(CapacityExceeded):
-        table.value(11, 2)
+        log_pmf_row(11, 2, 0.5, n_max=10)
 
 
 def test_log_pmf_row_matches_exact():
@@ -177,14 +182,6 @@ def test_mod_poisson_refuses_z_past_binary64(z):
     if z != -math.inf:
         with pytest.raises(DomainError):
             psi_limit(1, 0.5, z)
-
-
-def test_limit_approximant_bundle():
-    approx = LimitApproximant(1000, 1, 0.5)
-    assert approx.lambda_n > 0
-    assert approx.psi_limit(0.0) == 1.0
-    assert approx.clt_normalize(approx.lambda_n) == 0.0
-    assert approx.mode_prediction() == mode_prediction(1000, 1, 0.5)
 
 
 class TestExpectationAsymptotic:
@@ -313,6 +310,9 @@ def test_ldp_branch_domains():
         ldp_lower_tail(1000, 1, 0.5, 1.5)
     with pytest.raises(DomainError):
         ldp_point(1000, 1, 0.5, -1.0)
+    for x in (math.inf, math.nan, 1e308):  # round() of x * lambda_n would raise, not DomainError
+        with pytest.raises(DomainError):
+            ldp_lattice_point(100, 1, 0.5, x)
 
 
 def test_ldp_point_reduction_at_x_one():

@@ -69,7 +69,7 @@ class TestExpectedFaceCount:
                     assert expected_face_count(q) == math.comb(n, k) * face_ratio(q)
 
     def test_large_n_prefix_path_consistent(self):
-        # same value through the triangle (small cap) and the row prefix
+        # same value through the alternating Stirling sum and the PMF head
         q = ConeFaceQuery(3, 200, 1)
         assert expected_face_count(q) == math.comb(200, 1) * face_ratio(q)
 
@@ -186,6 +186,7 @@ class TestRecoveryProbability:
         # the verbatim summation has no surviving terms at k = d
         assert recovery_probability(2, 8, 2) == 0
         assert recovery_probability(3, 6, 3) == 0
+        assert recovery_probability(0, 5, 0) == recovery_probability(0, 200, 0) == 0  # no prefix column at d = 0
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):

@@ -1,9 +1,11 @@
 """Tests for the exact r-Lah distribution.
 
-The heavyweight oracle here is the bivariate series expansion of
-((1-x)^-t - 1)^k (1-x)^-(rt+r): its coefficient of t^j x^n must reproduce
-(k!/n!) c(n,j)_r S(j,k)_r, which pins the PMF numerators to the generating
-function independently of the recurrence tables.
+Two oracles are independent of the integer head rows.  The bivariate series
+expansion of ((1-x)^-t - 1)^k (1-x)^-(rt+r): its coefficient of t^j x^n must
+reproduce (k!/n!) c(n,j)_r S(j,k)_r, which pins the PMF numerators to the
+generating function.  And the recurrence triangles (``table_for``): every
+method of the distribution and every head window is compared with values
+built from them in Fractions.
 """
 
 import contextlib
@@ -11,6 +13,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction as F
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -28,13 +31,21 @@ from rlah.distribution import (
     pmf_head,
 )
 from rlah.errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
-from rlah.stirling import StirlingKind, stirling_r
+from rlah.stirling import StirlingKind, stirling_r, table_for
 
 HALF = F(1, 2)
 
 
 def dist(n, k, r):
     return build_distribution(AdmissibleTriple(n, k, F(r)))
+
+
+def triangle_law(n, k, r):
+    """(L(n,k)_r, [P[X = j] for j = k..n]) from the recurrence triangles."""
+    first, second = table_for(StirlingKind.FIRST, r), table_for(StirlingKind.SECOND, r)
+    weights = [first.value(n, j) * second.value(j, k) for j in range(k, n + 1)]
+    total = sum(weights)
+    return total, [w / total for w in weights]
 
 
 # -- admissibility -------------------------------------------------------------
@@ -373,6 +384,40 @@ def test_distribution_invariants(triple):
         assert d.parity_probabilities() == (HALF, HALF)
 
 
+@given(triples())
+@settings(max_examples=60, deadline=None)
+def test_every_method_matches_the_triangle_oracle(triple):
+    n, k, r = triple
+    normalizer, pmf = triangle_law(n, k, r)
+    cdf = list(accumulate(pmf))
+    support = range(k, n + 1)
+    d = dist(n, k, r)
+    assert d.normalizer == normalizer
+    assert d.pmf_items() == list(zip(support, pmf))
+    assert [d.pmf(j) for j in range(k - 1, n + 2)] == [0, *pmf, 0]
+    assert [d.cdf(j) for j in range(k - 1, n + 2)] == [0, *cdf, 1]
+    mean = sum(j * p for j, p in zip(support, pmf))
+    assert d.mean_via_pmf() == d.expectation() == d.expectation_alt() == mean
+    assert d.variance() == sum(j * j * p for j, p in zip(support, pmf)) - mean * mean
+    even = sum(p for j, p in zip(support, pmf) if j % 2 == 0)
+    assert d.parity_probabilities() == (even, 1 - even)
+    assert d.mode() == {j for j, p in zip(support, pmf) if p == max(pmf)}
+    violation = next((i + k for i in range(1, len(pmf) - 1) if pmf[i] ** 2 < pmf[i - 1] * pmf[i + 1]), None)
+    assert d.certify_log_concavity() == (violation is None, violation)
+    for t in (F(-1), F(0), F(1, 3), F(2), F(-5, 2)):
+        assert d.pgf(t) == sum(t ** j * p for j, p in zip(support, pmf))
+    thresholds = np.array([float(c) for c in cdf])
+    want = np.searchsorted(thresholds, np.random.default_rng(n).random(64), side="right") + k
+    assert d.sample(np.random.default_rng(n), 64).tolist() == want.tolist()
+    rows = d.to_rows(include_cdf=True)
+    assert [(row["j"], F(row["pmf_num"], row["pmf_den"]), row["pmf_float"], F(row["cdf_num"], row["cdf_den"]))
+            for row in rows] == [(j, p, float(p), c) for j, p, c in zip(support, pmf, cdf)]
+    assert all(F(row["pmf_num"], row["pmf_den"]).numerator == row["pmf_num"] for row in rows)  # reduced
+    for j in range(n + 2):
+        assert stirling_r(StirlingKind.FIRST, n, j, r) == table_for(StirlingKind.FIRST, r).value(n, j)
+        assert stirling_r(StirlingKind.SECOND, n, j, r) == table_for(StirlingKind.SECOND, r).value(n, j)
+
+
 # -- integer head rows and their cache ------------------------------------------------
 
 @contextlib.contextmanager
@@ -390,17 +435,19 @@ def fresh_cache(budget=None):
         distribution._pmf_head_cached.cache_clear()
 
 
-def assert_head_matches(head, d):
-    k = d.params.k
+def assert_head_matches(head, pmf):
+    """``pmf`` is the triangle oracle's P[X = j] for j = k..n."""
+    k = head.params.k
+    cdf = [F(0), *accumulate(pmf)]  # cdf[j - k + 1] = P[X <= j]
     for j in range(k - 1, head.j_hi + 1):
-        assert head.pmf(j) == d.pmf(j)
-        assert head.head_cdf(j) == head.lower_tail(j) == d.cdf(j)
-        assert head.upper_tail(j + 1) == 1 - d.cdf(j)
+        assert head.pmf(j) == (pmf[j - k] if j >= k else 0)
+        assert head.head_cdf(j) == head.lower_tail(j) == cdf[j - k + 1]
+        assert head.upper_tail(j + 1) == 1 - cdf[j - k + 1]
 
 
 def test_head_grown_in_any_window_order_matches_fresh_and_oracle():
     n, k, r = 90, 1, HALF
-    d = dist(n, k, r)
+    _, pmf = triangle_law(n, k, r)
     with fresh_cache() as cache:
         heads = [pmf_head(n, k, r, w) for w in (40, 12, 80)]
         assert [key[0] for key in cache._entries] == ["prefix", "head"]  # one row, grown 40 -> 80
@@ -409,18 +456,18 @@ def test_head_grown_in_any_window_order_matches_fresh_and_oracle():
             grown = [head.pmf(j) for j in window]
             with fresh_cache():
                 assert [pmf_head(n, k, r, head.j_hi).pmf(j) for j in window] == grown
-            assert_head_matches(head, d)
+            assert_head_matches(head, pmf)
 
 
 @given(triples(), st.lists(st.integers(min_value=0, max_value=18), min_size=1, max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_head_windows_in_random_order(triple, windows):
     n, k, r = triple
-    d = dist(n, k, r)
+    _, pmf = triangle_law(n, k, r)
     with fresh_cache():
         for w in windows:
             head = pmf_head(n, k, r, max(w, k))
-            assert_head_matches(head, d)
+            assert_head_matches(head, pmf)
         full = pmf_head(n, k, r, n)
         assert full.head_cdf(n + 5) == 1 and full.upper_tail(n + 1) == 0
 
@@ -504,3 +551,81 @@ def test_cli_stdout_is_byte_identical_to_the_fraction_heads(capsys):
         assert cli_main(["faces", "--d-range", "3:7", "--n-range", "1500:1503", "--k", "2"]) == 0
         out = capsys.readouterr().out.encode()
         assert (len(out), hashlib.sha256(out).hexdigest()) == (170574, FACES_GOLDEN_SHA256)
+
+
+# pmf, pmf --cdf, stats, stirling (both kinds) and lah, in CSV and JSON, at warm
+# and fresh r, n from 150 to 260: (argv, stdout length, stdout SHA-256) as the
+# recurrence triangles printed them
+TABLES_GOLDEN = [
+    ("--format csv pmf --n 150 --k 1 --r 0", 53618, "c296b92f82969dd5494708a88ee75fb1b19047638fcbeeedf6219191b8ead125"),
+    ("--format csv pmf --n 260 --k 2 --r 0 --cdf", 437095, "b8b4e9b18ac8a2444a46686fc998df85fb554ef116d80f73fee81862bbc703fa"),
+    ("--format csv stats --n 200 --k 1 --r 0", 1068, "d632d484db1ba2ffde4f0db093871a8ae23da85c899170dcbf6e5f5c401f1127"),
+    ("--format csv stirling --kind first --n 170 --k 40 --r 0", 287, "e63ffa2a01c6564c6a7d73d9e0b996bf1e2d7dcc37b037bcddceea18863e1a61"),
+    ("--format csv stirling --kind second --n 250 --k 230 --r 0", 78, "60436bbe13bafad997bf43731bc9b8ba69983afe38efdd0e9b7fa7f9e6ecd6e9"),
+    ("--format csv lah --n 160 --k 12 --r 0", 300, "b93668bd4cc921015fe1fc38387f196214136556441f39b323af7037eb0d8804"),
+    ("--format json pmf --n 153 --k 1 --r 0", 62731, "d5e12d18972f44a8394ae1d0b6e39978874088270765ea7fe9b3b2234dbed77d"),
+    ("--format json pmf --n 257 --k 2 --r 0 --cdf", 442087, "6146328ac90547992e1f91a6e860949dc95f99cfd855c3b0a93a9b5b5da05c79"),
+    ("--format json stats --n 203 --k 1 --r 0", 1134, "3e9323f0a885665ad5947d3d5e9b733a372d69f441c7aa454638bf3e716a0a94"),
+    ("--format json stirling --kind first --n 176 --k 43 --r 0", 304, "3483a88ae9f9871a16599f94af538a410c62b7602b3153bbab94f1305c81233d"),
+    ("--format json stirling --kind second --n 247 --k 224 --r 0", 94, "58fa0f73011117239b9327f22dfd5708715cc68c71519fad1f66d9b1953267d4"),
+    ("--format json lah --n 169 --k 15 --r 0", 327, "832b309567fa0f4811abc34ef832b2372533d413f6ab647eab2440e482687774"),
+    ("--format csv pmf --n 157 --k 0 --r 1/2", 73551, "2cc12035e0de450626c6948cda1847f2f616c536980eefe4cbeb802d7a945a55"),
+    ("--format csv pmf --n 253 --k 1 --r 1/2 --cdf", 497760, "d490f1254edd8f2763e36caac9adc30f1975ee7298561fe88d1d9238a05798c7"),
+    ("--format csv stats --n 207 --k 0 --r 1/2", 1090, "da0c2b4a19668d858dbcd78c0d0cd45c153f44e8f668bcfd292a24893b4ad2eb"),
+    ("--format csv stirling --kind first --n 184 --k 47 --r 1/2", 391, "4aca4337849939388860a4623016d2c43810872d763c3428a829a2daa50f35a8"),
+    ("--format csv stirling --kind second --n 243 --k 216 --r 1/2", 115, "8b1e3ead26b12c1340ff49d267abfa3f38fda99739ab7df64df7115395a3f1b3"),
+    ("--format csv lah --n 181 --k 19 --r 1/2", 347, "9d67cd2ecab830243e987c9509b7b21a5cde54debf9b1d5890fdcf61d987e949"),
+    ("--format json pmf --n 160 --k 0 --r 1/2", 83598, "56f3f6dad140f6a2e55da3d4069771fce8d12b1a9e8fe70625681070397cb73f"),
+    ("--format json pmf --n 250 --k 1 --r 1/2 --cdf", 503636, "e0b6559df28f71972c1608436bf53a6da06bb46de99510f7b727e912c063891a"),
+    ("--format json stats --n 210 --k 0 --r 1/2", 1158, "d6b33d2b09c80ee3a82996aa1ccd99d65f8c3ebc0080c7700d5a03cd34d07496"),
+    ("--format json stirling --kind first --n 190 --k 50 --r 1/2", 414, "7f30b6454be554a4ed2c61ce1904f327bba60e4c403f479d97d310a99cc123cc"),
+    ("--format json stirling --kind second --n 240 --k 210 --r 1/2", 130, "29eb9eeb5efa0f74309d1b63c500a7fd9767fa63a80c337712d0c8b7e8263c44"),
+    ("--format json lah --n 190 --k 22 --r 1/2", 374, "0c3871d9f42678d8f670fc8c5a245bd44b8ec1e1d08b5e09a0b9cfcd7e59374b"),
+    ("--format csv pmf --n 164 --k 2 --r 1", 70938, "eccaf5cbbd18d17c13df5dc70c8f52bbe43a7e81ddf9962469442fac0a040299"),
+    ("--format csv pmf --n 246 --k 3 --r 1 --cdf", 399342, "98d59e3f46ddbfeeec03a93ed21a2f4d18dd392d4d76357a3844721d0fff5c80"),
+    ("--format csv stats --n 214 --k 2 --r 1", 1129, "4e947d440995777f0929aab7e149d075e5f99adcb14fd76302fee4d2826767a6"),
+    ("--format csv stirling --kind first --n 198 --k 54 --r 1", 334, "1015db51ddd9c043e91be596262a6cd4c5a1ecf5e6fcf18f9417db13b0386049"),
+    ("--format csv stirling --kind second --n 236 --k 202 --r 1", 117, "8f5b014125123bf5e6702e9c82a6ecb1e91ae73a9942c129878dba00d050224a"),
+    ("--format csv lah --n 202 --k 26 --r 1", 394, "c84f8d6f564504db3cdbe18226580a7f6d8c72339e33206dc773514a850ae115"),
+    ("--format json pmf --n 167 --k 2 --r 1", 81613, "dea70d9e9681e8d4a0842de2fe5dbbc70d2ed5b499ff5a70b2fd13769554fc75"),
+    ("--format json pmf --n 243 --k 3 --r 1 --cdf", 405971, "72ee32cec95c98cb2608d7bbbd4f4bc08c27be3b11fd6abfeb1f32cb5de2b5b7"),
+    ("--format json stats --n 217 --k 2 --r 1", 1192, "da510677cacfbf67a95f5de3cbc3f0663380b9e0dfc7ef454b6aae63fa37154d"),
+    ("--format json stirling --kind first --n 204 --k 57 --r 1", 351, "0d1f13ec58d4d2ede93f33c5fd8d07865540e3411b70795c80dad943c19a7ccd"),
+    ("--format json stirling --kind second --n 233 --k 196 --r 1", 132, "c5e5936d8b08865738fb3aac4bc13ca939ea290800d298f5dd4a144ab1d92375"),
+    ("--format json lah --n 211 --k 29 --r 1", 420, "e7fd429c1783dcbf552b7a158c357d48d494ae2eedf1d21b75cbbe0aa5b906d6"),
+    ("--format csv pmf --n 171 --k 0 --r 5/7", 111419, "c1845fee867e4681b1dcac9991854fe1e45a6e2de34b8203e63b987c73ae4924"),
+    ("--format csv pmf --n 239 --k 1 --r 5/7 --cdf", 551761, "f037db6a0341e834f613b0a241b7e762aba585aad761feb9ba57aa74f703501f"),
+    ("--format csv stats --n 221 --k 0 --r 5/7", 2599, "faa148bb1f478716c0ef0d492535c06867b7ed8e329b638e1d41be8d420be59e"),
+    ("--format csv stirling --kind first --n 212 --k 61 --r 5/7", 612, "be43af5b8090b2225d700453279f047fd3e9a343fcb12ffa547068fc1598870e"),
+    ("--format csv stirling --kind second --n 229 --k 188 --r 5/7", 202, "a3ccd32653b09f52396d41cdde0994d12bab3d9c421fd3fd7923b3f25ba431d0"),
+    ("--format csv lah --n 223 --k 33 --r 5/7", 760, "b1ea2953f11810efeef7d405fdc7e25fb45c9803342fcfd9bc989201f87f55b0"),
+    ("--format json pmf --n 174 --k 0 --r 5/7", 122820, "e9d4d3a6e2bc0aa21a61a5c19c1cb4a8abd4e3c7402b7e4b922480a2aed1d1cf"),
+    ("--format json pmf --n 236 --k 1 --r 5/7 --cdf", 552852, "a17134f2dc4b964e09d37144430e435105e516f8fd17cd7ab5ae82237d3f162d"),
+    ("--format json stats --n 224 --k 0 --r 5/7", 2689, "e88e5852d05ec21b26450a99ab0eb9cfda4255fd66d68343fb0e1dade5f3b6ee"),
+    ("--format json stirling --kind first --n 218 --k 64 --r 5/7", 636, "9c903d4a7503d5ffed7897efaeced7793b037ca9b61c4863260eb70c5d84148b"),
+    ("--format json stirling --kind second --n 226 --k 182 --r 5/7", 223, "345cfbef50912e3e71ce62e0fe059690236daf5b7ee4fb938248d9edd809c532"),
+    ("--format json lah --n 232 --k 36 --r 5/7", 798, "21e916919e9bdf273b7ee0cbea4e53e5eee861334cda74504b47eb04768bfcb9"),
+    ("--format csv pmf --n 178 --k 3 --r 13/11", 150630, "15bad8a266ac4e0f80e1d7f912a466f1461a3b96603045d4a815f0d6a80ff6af"),
+    ("--format csv pmf --n 232 --k 4 --r 13/11 --cdf", 565072, "d9612211ff128e96c148dfa0e3d4c7a1eeaea68710f94438ff249652bd9b65c2"),
+    ("--format csv stats --n 228 --k 3 --r 13/11", 2972, "d4463477d34c3256de12599211bfb40fa7b976a7c4cf5a04a47b360003e3f6ba"),
+    ("--format csv stirling --kind first --n 226 --k 68 --r 13/11", 711, "bfc39f3dab4b99975f626b63b09e3c26c872267ba42db782cd69b7a5b36b9b29"),
+    ("--format csv stirling --kind second --n 222 --k 174 --r 13/11", 250, "5d668ac554cdd546d6f3977045996c0a7c6f80d096a32636bd92ffdc32030a3f"),
+    ("--format csv lah --n 244 --k 40 --r 13/11", 907, "38a0b844d74e6424481d4e9e05f75ecf6c5195ad60a8197c8ccad03954b734d8"),
+    ("--format json pmf --n 181 --k 3 --r 13/11", 164769, "9de6432d659cc12f1a720101b739c7bfebecb23765fe66ff53198c839136166b"),
+    ("--format json pmf --n 229 --k 4 --r 13/11 --cdf", 563466, "386b13d9907a78b05b007e3b6a3f1a87ca8a5de7e0aec9fd9416a5eba36b7661"),
+    ("--format json stats --n 231 --k 3 --r 13/11", 3068, "bc76b8389cf3e8cedbf4626aca1caac4af71165b78d649018f7413c35e9eb80e"),
+    ("--format json stirling --kind first --n 232 --k 71 --r 13/11", 732, "3e9ca88455fe6e3fdaf594cdd3a2777acbd384a242d9c500401ac34dfa90ec3a"),
+    ("--format json stirling --kind second --n 219 --k 168 --r 13/11", 272, "cfb9a600fd51fe6db0a761222153d6159f2cac02424fb4012db0f41216accda1"),
+    ("--format json lah --n 253 --k 43 --r 13/11", 946, "95db7c5d6e32a250b1ee80e45ab8310e494b998f6b069109b86a607c80b5347c"),
+]
+
+
+def test_cli_tables_are_byte_identical_to_the_triangle(capsys):
+    wrong = []
+    with fresh_cache():
+        for argv, length, sha in TABLES_GOLDEN:
+            assert cli_main(argv.split()) == 0
+            out = capsys.readouterr().out.encode()
+            if (len(out), hashlib.sha256(out).hexdigest()) != (length, sha):
+                wrong.append(argv)
+    assert wrong == []

@@ -1,8 +1,9 @@
-"""Exact-core tests: r-Stirling tables, r-Lah numbers, and their identities.
+"""Exact-core tests: r-Stirling numbers, r-Lah numbers, and their identities.
 
-The recurrence tables are cross-validated against the polynomial-in-r
-formulas over ordinary Stirling numbers, and the r-Lah closed form against
-the convolution sum; both oracles are independent of the production path.
+The integer slices behind ``stirling_r`` are cross-validated against the
+recurrence triangles (``table_for``) and the polynomial-in-r formulas over
+ordinary Stirling numbers, and the r-Lah closed form against the
+convolution sum; the oracles are independent of the production path.
 """
 
 import math
@@ -14,11 +15,11 @@ import pytest
 from rlah.errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
 from rlah.stirling import (
     StirlingKind,
+    _second_kind_column_scaled,
     first_kind_prefix,
     gen_binomial,
     harmonic_diff,
     lah_r,
-    second_kind_column,
     stirling_r,
     stirling_r_poly,
     table_for,
@@ -214,13 +215,16 @@ class TestPrefixSlices:
         for r in (F(0), F(1, 2), F(7, 3)):
             prefix = first_kind_prefix(30, r, 12)
             for j in range(13):
-                assert prefix[j] == stirling_r(FIRST, 30, j, r)
+                assert prefix[j] == table_for(FIRST, r).value(30, j)
 
     def test_second_kind_column_matches_table(self):
+        # every band edge: k = 0, k = j_max, and k past j_max (an all-zero column)
         for r in (F(0), F(1, 2), F(7, 3)):
-            column = second_kind_column(2, r, 25)
-            for j in range(26):
-                assert column[j] == stirling_r(SECOND, j, 2, r)
+            for k in range(7):
+                for j_max in (*range(10), 25):
+                    column = _second_kind_column_scaled(k, r, j_max)
+                    want = [table_for(SECOND, r).value(j, k) for j in range(j_max + 1)]
+                    assert [F(t, r.denominator ** j) for j, t in enumerate(column)] == want
 
     def test_prefix_clamps_to_n(self):
         assert len(first_kind_prefix(4, F(1, 2), 99)) == 5
