@@ -21,7 +21,6 @@ from .asymptotics import (
     ldp_upper_tail,
     llt_gaussian_pmf,
     llt_sup_gap,
-    log_pmf_row,
     mod_poisson_residual,
     mode_prediction,
     psi_limit,
@@ -30,7 +29,6 @@ from .cones import (
     ConeFaceQuery,
     expected_face_count,
     face_ratio,
-    face_ratio_complement,
     recovery_probability,
     strong_threshold_check,
     weak_threshold,

@@ -1,16 +1,15 @@
-"""Floating-point path and limit-theorem approximants.
+"""Limit-theorem approximants, and the statistics that compare them with
+the exact distribution.
 
-Two kinds of machinery live here.  The first is the binary64 counterpart of
-the exact PMF: one log-space PMF row, whose r-Stirling slices are rolled
-through log-sum-exp, usable far beyond the exact cap.  The second is the
-collection of asymptotic predictions for the r-Lah distribution with k, r
-fixed and n large: the Poisson-scale parameter lambda_n = (k+r) log n, the
-mod-Poisson limit
+The approximants are asymptotic predictions for the r-Lah distribution
+with k, r fixed and n large: the Poisson-scale parameter
+lambda_n = (k+r) log n, the mod-Poisson limit
 
     Psi(z) = Gamma(k+2r) / Gamma((k+r) e^z + r),
 
 the Gaussian central/local approximants, the two-candidate mode prediction,
 and the precise large-deviation formulas for the point mass and both tails.
+They live in binary64.
 
 Convergence statistics (Kolmogorov distance, local-limit sup gap,
 mod-Poisson residual, tail ratios) compare those predictions against the
@@ -27,14 +26,10 @@ import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
-import numpy as np
-
-from .distribution import AdmissibleTriple, PmfHead, pgf_eval, pmf_head
+from .distribution import AdmissibleTriple, PmfHead, pmf_head
 from .errors import CapacityExceeded, DomainError, InvalidParameter
 from .rational import RationalLike, as_rational
 
-DEFAULT_N_MAX_FLOAT = 20_000
-_PGF_METHOD_N_CAP = 512
 _HEAD_COST_CAP = 40_000_000  # j_hi * n guard for the exact-window path
 
 
@@ -66,58 +61,6 @@ def digamma(x: float) -> float:
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via erfc; Phi(0) = 1/2 exactly."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-# -- log-space PMF row ----------------------------------------------------------
-
-def _log_first_kind_row(n: int, r: float) -> np.ndarray:
-    """log c(n, j)_r for j = 0..n (-inf for 0), rolled forward row by row
-    through log-sum-exp without storing the triangle."""
-    fir = np.full(n + 1, -math.inf)
-    fir[0] = 0.0
-    buf = np.empty(n + 1)
-    for m in range(1, n + 1):
-        coeff = math.log(m + r - 1) if m + r - 1 > 0 else -math.inf
-        np.add(fir[: m], coeff, out=buf[: m])
-        buf[1: m] = np.logaddexp(buf[1: m], fir[: m - 1])
-        buf[m] = fir[m - 1]
-        fir[: m + 1] = buf[: m + 1]
-    return fir
-
-
-def _log_second_kind_column(k: int, r: float, n: int) -> np.ndarray:
-    """log S(j, k)_r for j = 0..n (-inf for 0), one column by its linear
-    recurrence; S(j,0)_r = r^j with S(0,0) = 1 for every r."""
-    col = np.full(n + 1, -math.inf)
-    col[0] = 0.0
-    if r > 0:
-        col[1:] = np.arange(1, n + 1) * math.log(r)
-    for kk in range(1, k + 1):
-        prev, col = col, np.full(n + 1, -math.inf)
-        lc = math.log(kk + r)
-        for j in range(1, n + 1):
-            col[j] = np.logaddexp(col[j - 1] + lc, prev[j - 1])
-    return col
-
-
-def log_pmf_row(n: int, k: int, r: float, *, n_max: int = DEFAULT_N_MAX_FLOAT) -> np.ndarray:
-    """log P[X = j] for j = 0..n in binary64, O(n^2) flops and O(n) memory.
-
-    The products of the log-space first-kind row and second-kind column are
-    normalized by their log-sum-exp, so the float PMF sums to 1.
-    """
-    if n > n_max:
-        raise CapacityExceeded(f"n={n} exceeds n_max_float={n_max}")
-    if n < 1 or not 0 <= k <= n:
-        raise InvalidParameter(f"need n >= 1 and 0 <= k <= n, got n={n}, k={k}")
-    if r < 0 or (k == 0 and r == 0):
-        raise InvalidParameter("need r >= 0 and max(k, r) > 0")
-    r = float(r)
-    out = _log_first_kind_row(n, r) + _log_second_kind_column(k, r, n)
-    finite = out[np.isfinite(out)]
-    top = finite.max()
-    out -= top + math.log(np.exp(finite - top).sum())
-    return out
 
 
 # -- approximants --------------------------------------------------------------
@@ -270,6 +213,7 @@ def _head_for(n: int, k: int, r: Fraction, z_max: float = 0.0) -> PmfHead:
     end is pushed 14 standard deviations past that and rounded up for cache
     reuse.  Guarded by a work cap, since cost is O(j_hi * n) big-int ops.
     """
+    AdmissibleTriple(n, k, r)  # before lambda_n, which a negative k + r breaks
     lam = lambda_n(max(n, 2), k, float(r))
     center = math.exp(max(z_max, 0.0)) * lam
     j_hi = int(math.ceil(center + 14.0 * math.sqrt(center + 4.0))) + 16
@@ -279,12 +223,6 @@ def _head_for(n: int, k: int, r: Fraction, z_max: float = 0.0) -> PmfHead:
             f"exact head window {j_hi} x n={n} exceeds the work cap; reduce n or z"
         )
     return pmf_head(n, k, r, j_hi)
-
-
-def _log_fraction(v: Fraction) -> float:
-    if v == 0:
-        return -math.inf
-    return math.log(v.numerator) - math.log(v.denominator)
 
 
 def kolmogorov_distance(
@@ -355,16 +293,12 @@ def _log_mgf_exact(n: int, k: int, r: Fraction, z: float) -> float:
         head = pmf_head(n, k, r, min(n, head.j_hi * 2))
 
 
-def mod_poisson_residual(
-    n: int, k: int, r: RationalLike, z: float, *, method: str = "exact"
-) -> float:
+def mod_poisson_residual(n: int, k: int, r: RationalLike, z: float) -> float:
     """E[e^{z X}] / e^{lambda_n (e^z - 1)}, the quantity converging to Psi(z).
 
-    Methods: "exact" (default) sums e^{z j} against the exact head PMF with a
-    certified truncation; "pgf" evaluates the exact generating function at
-    e^z rounded once to its 53-bit dyadic (small n only); "logspace" uses the
-    binary64 log-space row.  A z that is not finite, or whose lambda_n (e^z - 1)
-    overflows binary64, raises DomainError.
+    The numerator sums e^{z j} against the exact head PMF with a certified
+    truncation.  A z that is not finite, or whose lambda_n (e^z - 1) or
+    residual overflows binary64, raises DomainError.
     """
     r = as_rational(r)
     AdmissibleTriple(n, k, r)
@@ -379,22 +313,10 @@ def mod_poisson_residual(
         scale = math.inf
     if scale == math.inf:
         raise DomainError(f"lambda_n (e^z - 1) overflows binary64 at z={z}")
-    if method == "exact":
+    try:
         return math.exp(_log_mgf_exact(n, k, r, z) - scale)
-    if method == "pgf":
-        if n > _PGF_METHOD_N_CAP:
-            raise CapacityExceeded(f"pgf method is exact-rational in n={n}; capped at {_PGF_METHOD_N_CAP}")
-        t = Fraction(math.exp(z))  # nearest 53-bit dyadic; error propagates linearly
-        value = pgf_eval(AdmissibleTriple(n, k, r), t)
-        return math.exp(_log_fraction(value) - scale)
-    if method == "logspace":
-        row = log_pmf_row(n, k, float(r))
-        js = np.arange(n + 1, dtype=float)
-        terms = row + z * js
-        top = terms[np.isfinite(terms)].max()
-        log_sum = top + math.log(np.exp(terms[np.isfinite(terms)] - top).sum())
-        return math.exp(log_sum - scale)
-    raise InvalidParameter(f"unknown method {method!r}")
+    except OverflowError:
+        raise DomainError(f"the residual at z={z} overflows binary64") from None
 
 
 def ldp_tail_ratio(n: int, k: int, r: RationalLike, x: float) -> Tuple[float, float, float]:

@@ -8,9 +8,9 @@ recovery) and the Monte Carlo verifiers (mc-cone, mc-recovery).
 Conventions: rationals are accepted as "p/q" or exact decimals and emitted
 as "p/q" strings; output is CSV (default for tables) or JSON via --format;
 identical (command, parameters, seed) produce byte-identical output, which
-is why the Monte Carlo records omit wall-clock timing (available through the
-library API).  Exit codes: 0 success, 2 parameter/domain errors (with a
-machine-readable error record), 3 capacity errors.
+is why no record carries wall-clock timing.  Exit codes: 0 success, 2
+parameter/domain errors (with a machine-readable error record), 3 capacity
+errors.
 """
 
 from __future__ import annotations
@@ -79,6 +79,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         raise InvalidParameter(f"{self.prog}: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        # argparse drops an option value "--" (as in --n=--) and stores [] instead
+        for name, value in vars(parsed).items():
+            if isinstance(value, list):
+                self.error(f"argument --{name.replace('_', '-')}: expected one argument")
+        return parsed, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,13 +189,15 @@ def _run(args: argparse.Namespace, out: IO[str]) -> None:
 
     elif args.command == "stats":
         params = distribution.AdmissibleTriple(args.n, args.k, as_rational(args.r))
+        # the closed form refuses an unprintable normalizer before the row is built
+        normalizer = format_rational(stirling.lah_r(params.n, params.k, params.r, n_max=args.n_max))
         dist = distribution.build_distribution(params, n_max=args.n_max)
         even, odd = dist.parity_probabilities()
         record = {
             "n": params.n,
             "k": params.k,
             "r": format_rational(params.r),
-            "normalizer": format_rational(dist.normalizer),
+            "normalizer": normalizer,
             "expectation": format_rational(dist.expectation()),
             "expectation_float": float(dist.expectation()),
             "variance": format_rational(dist.variance()),
@@ -213,8 +223,8 @@ def _run(args: argparse.Namespace, out: IO[str]) -> None:
             raise InvalidParameter("faces: give exactly one of --d or --d-range")
         if (args.n is None) == (args.n_range is None):
             raise InvalidParameter("faces: give exactly one of --n or --n-range")
-        ds = _range(args.d_range) if args.d_range else range(args.d, args.d + 1)
-        ns = _range(args.n_range) if args.n_range else range(args.n, args.n + 1)
+        ds = _range(args.d_range) if args.d_range is not None else range(args.d, args.d + 1)
+        ns = _range(args.n_range) if args.n_range is not None else range(args.n, args.n + 1)
         rows = []
         for d in ds:
             for n in ns:
@@ -268,13 +278,13 @@ def _run(args: argparse.Namespace, out: IO[str]) -> None:
 
     elif args.command == "mc-cone":
         est = montecarlo.estimate_expected_faces(args.d, args.n, args.k, args.trials, args.seed)
-        _emit_record(out, fmt, est.to_json_dict(include_elapsed=False))
+        _emit_record(out, fmt, est.to_json_dict())
 
     elif args.command == "mc-recovery":
         est = montecarlo.estimate_recovery_probability(
             args.d, args.n, args.k, args.trials, args.seed, amplitude_rule=args.amplitudes
         )
-        _emit_record(out, fmt, est.to_json_dict(include_elapsed=False))
+        _emit_record(out, fmt, est.to_json_dict())
 
     else:  # pragma: no cover - argparse enforces the choices
         raise InvalidParameter(f"unknown command {args.command!r}")

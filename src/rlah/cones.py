@@ -27,11 +27,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .distribution import (
-    AdmissibleTriple,
-    LahDistribution,
     _cache_lock,
     _prefix,
-    build_distribution,
+    build_distribution,  # unused here, but rlahbench/tracing.py wraps rlah.cones.build_distribution
     pmf_head,
 )
 from .errors import CapacityExceeded, InvalidParameter
@@ -45,7 +43,9 @@ from .stirling import (
 )
 
 _HALF = Fraction(1, 2)
-_PARITY_SUM_LIMIT = 512  # full-support sums need the materialized distribution
+# strong_threshold_check reports no exact defect bound past this n; that is
+# its documented output, and lifting the limit would change it
+_PARITY_SUM_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,6 @@ def expected_face_count(q: ConeFaceQuery, *, n_max: int | None = None) -> Fracti
     return 2 * factorial(q.k) * s / factorial(q.n)
 
 
-def _lah_half(n: int, k: int, *, n_max: int | None = None) -> LahDistribution:
-    return build_distribution(AdmissibleTriple(n, k, _HALF), n_max=n_max)
-
-
 def face_ratio(q: ConeFaceQuery, *, n_max: int | None = None) -> Fraction:
     """E[f_k]/binom(n,k) as 2 P[Lah(n,k)_{1/2} in {d-1, d-3, ...}], exact.
 
@@ -111,22 +107,6 @@ def face_ratio(q: ConeFaceQuery, *, n_max: int | None = None) -> Fraction:
     while j >= q.k:
         total += head.pmf(j)
         j -= 2
-    return 2 * total
-
-
-def face_ratio_complement(q: ConeFaceQuery, *, n_max: int | None = None) -> Fraction:
-    """1 - E[f_k]/binom(n,k) as 2 P[Lah(n,k)_{1/2} in {d+1, d+3, ...}].
-
-    Valid for n > k, where the distribution splits evenly between parities.
-    """
-    if q.n <= q.k:
-        raise InvalidParameter(f"complement identity needs n > k, got n={q.n}, k={q.k}")
-    dist = _lah_half(q.n, q.k, n_max=n_max)
-    total = Fraction(0)
-    j = q.d + 1
-    while j <= q.n:
-        total += dist.pmf(j)
-        j += 2
     return 2 * total
 
 
@@ -198,7 +178,8 @@ def strong_threshold_check(
             head = pmf_head(n, k, _HALF, min(d - 1, n))
             tail = 2 * Fraction(n) ** k * head.upper_tail(d)
         if k <= d - 1 <= n - 1 and n <= _PARITY_SUM_LIMIT:
-            defect = math.comb(n, k) * face_ratio_complement(ConeFaceQuery(d, n, k), n_max=n_max)
+            # 1 - ratio = 2 P[Lah in {d+1, d+3, ...}], as the parities split evenly for n > k
+            defect = math.comb(n, k) * (1 - face_ratio(ConeFaceQuery(d, n, k), n_max=n_max))
     return StrongThresholdResult(applies, envelope, defect, tail)
 
 

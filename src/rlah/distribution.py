@@ -19,18 +19,18 @@ of the weights, is grown upward and is shared by every window of its
 
 ``pmf_head`` is a view of a row's prefix {k, ..., j_hi}, at O(j_hi * n)
 big-integer work, which is what makes exact tail sums, CDF heads and modes
-reachable at n = 10^4.  ``build_distribution`` is the view of the full row:
-its moments, parity split, mode and log-concavity are integer sums and
+reachable at n = 10^4.  ``build_distribution`` returns the same view at full
+width: ``LahDistribution`` is the ``PmfHead`` with j_hi = n, and its
+moments, parity split, mode and log-concavity are integer sums and
 comparisons over den.  CDF values, tails and floats are read off the sums,
-and a Fraction is built only at the API boundary.  Rows and prefixes share
-one byte budget, ``_CACHE_BUDGET_BYTES``, and the least recently used are
-evicted first.
+and a Fraction is built only at the API boundary.  The generating function
+is evaluated by its closed alternating sum (``pgf_eval``).  Rows and
+prefixes share one byte budget, ``_CACHE_BUDGET_BYTES``, and the least
+recently used are evicted first.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import sys
 import threading
@@ -38,12 +38,17 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import IO, Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from .errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
-from .rational import RationalLike, as_rational, check_decimal_digits, format_rational
+from .rational import (
+    RationalLike,
+    as_rational,
+    check_decimal_digits,
+    format_rational,  # unused here, but rlahbench/tracing.py wraps rlah.distribution.format_rational
+)
 from .stirling import (
     _first_kind_prefix_scaled,
     _second_kind_column_scaled,
@@ -78,189 +83,6 @@ class AdmissibleTriple:
     @classmethod
     def of(cls, n: int, k: int, r: RationalLike) -> "AdmissibleTriple":
         return cls(n, k, as_rational(r))
-
-
-class LahDistribution:
-    """Fully materialized r-Lah distribution: exact PMF/CDF over {k, ..., n}.
-
-    It keeps the integer prefix sums ``cum`` of the full head row of
-    (n, k, r) and their one denominator ``den = q^n L(n,k)_r``, so that
-    P[X <= k+i] = cum[i] / den.  Moments, parity, mode and log-concavity are
-    integer sums and comparisons over ``den``; ``pmf`` and ``cdf`` build one
-    Fraction per read.  Immutable after construction; safe for concurrent
-    reads.  Use :func:`build_distribution` to construct.
-    """
-
-    def __init__(self, params: AdmissibleTriple, cum: Sequence[int], den: int):
-        self.params = params
-        self.cum = tuple(cum)
-        self.den = den
-        if self.cum[-1] != den:
-            raise AssertionError("PMF does not sum to 1: the head row is broken")
-
-    @property
-    def support(self) -> range:
-        return range(self.params.k, self.params.n + 1)
-
-    @property
-    def normalizer(self) -> Fraction:
-        """L(n,k)_r = den / q^n."""
-        return Fraction(self.den, self.params.r.denominator ** self.params.n)
-
-    def _weights(self) -> List[int]:
-        """Integer weights w[k..n], all over ``den``."""
-        cum = self.cum
-        return [cum[0]] + [b - a for a, b in zip(cum, cum[1:])]
-
-    def pmf(self, j: int) -> Fraction:
-        """P[X = j]; 0 outside the support."""
-        i = j - self.params.k
-        if i < 0 or j > self.params.n:
-            return Fraction(0)
-        return Fraction(self.cum[i] - self.cum[i - 1] if i else self.cum[0], self.den)
-
-    def cdf(self, j: int) -> Fraction:
-        """P[X <= j]."""
-        if j < self.params.k:
-            return Fraction(0)
-        if j >= self.params.n:
-            return Fraction(1)
-        return Fraction(self.cum[j - self.params.k], self.den)
-
-    def pmf_items(self) -> List[Tuple[int, Fraction]]:
-        return [(j, Fraction(w, self.den)) for j, w in zip(self.support, self._weights())]
-
-    # -- moments -------------------------------------------------------------
-
-    def expectation(self) -> Fraction:
-        """E[X] by the closed form
-
-            (k + [k(n+r) + r(n+1)] * [H_{n+2r-1} - H_{k+2r-1}]) / (n - (k-1)).
-
-        Equal (exactly) to :meth:`expectation_alt` and :meth:`mean_via_pmf`.
-        """
-        return expectation_exact(self.params.n, self.params.k, self.params.r)
-
-    def expectation_alt(self) -> Fraction:
-        """E[X] by the other closed form, split into the k-part and the r-part."""
-        n, k, r = self.params.n, self.params.k, self.params.r
-        h_top = harmonic_diff(k + 2 * r - 1, n - k + 1)  # H_{n+2r}   - H_{k+2r-1}
-        h_low = harmonic_diff(k + 2 * r - 1, n - k)      # H_{n+2r-1} - H_{k+2r-1}
-        return Fraction(k) * (n + 2 * r) / (n - (k - 1)) * h_top + r * h_low
-
-    def mean_via_pmf(self) -> Fraction:
-        return Fraction(sum(j * w for j, w in zip(self.support, self._weights())), self.den)
-
-    def variance(self) -> Fraction:
-        # no closed form exists; summation only: (den * sum j^2 w - (sum j w)^2) / den^2
-        first = second = 0
-        for j, w in zip(self.support, self._weights()):
-            first += j * w
-            second += j * j * w
-        return Fraction(self.den * second - first * first, self.den * self.den)
-
-    # -- shape ---------------------------------------------------------------
-
-    def parity_probabilities(self) -> Tuple[Fraction, Fraction]:
-        """(P[X even], P[X odd]); both equal 1/2 whenever n > k."""
-        weights = self._weights()
-        even = Fraction(sum(weights[(self.params.k % 2):: 2]), self.den)
-        return even, 1 - even
-
-    def mode(self) -> Set[int]:
-        """All maximizers of the PMF; log-concavity makes them 1 or 2 adjacent ints."""
-        weights = self._weights()
-        best = max(weights)
-        return {j for j, w in zip(self.support, weights) if w == best}
-
-    def certify_log_concavity(self) -> Tuple[bool, int | None]:
-        """Check w[i]^2 >= w[i-1]*w[i+1] on the interior (the PMF scaled by
-        den); returns (True, None) or (False, first violating index)."""
-        w = self._weights()
-        for i in range(1, len(w) - 1):
-            if w[i] * w[i] < w[i - 1] * w[i + 1]:
-                return False, i + self.params.k
-        return True, None
-
-    # -- generating function and sampling -------------------------------------
-
-    def pgf(self, t: RationalLike) -> Fraction:
-        """E[t^X] summed directly over the PMF (the oracle path for pgf_eval).
-
-        With t = a/b this is sum_j w[j] a^j b^(n-j) / (den b^n), one integer sum.
-        """
-        t = as_rational(t)
-        a, b, n = t.numerator, t.denominator, self.params.n
-        total = sum(w * a ** j * b ** (n - j) for j, w in zip(self.support, self._weights()))
-        return Fraction(total, self.den * b ** n)
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Inverse-CDF draws against once-rounded binary64 thresholds.
-
-        Each exact CDF value is rounded to the nearest double once (int true
-        division is correctly rounded, so cum[i] / den is float(P[X <= k+i]));
-        ties of the uniform against a threshold resolve upward.  Per-draw
-        distortion is at most 2^-53.  Deterministic given the generator state.
-        """
-        if count < 0:
-            raise InvalidParameter(f"count must be >= 0, got {count}")
-        thresholds = np.array([c / self.den for c in self.cum])
-        u = rng.random(count)
-        idx = np.searchsorted(thresholds, u, side="right")
-        return idx + self.params.k
-
-    # -- export ---------------------------------------------------------------
-
-    def to_rows(self, *, include_cdf: bool = False) -> List[dict]:
-        rows = []
-        for j, p in self.pmf_items():
-            row = {
-                "j": j,
-                "pmf_num": check_decimal_digits(p.numerator),
-                "pmf_den": check_decimal_digits(p.denominator),
-                "pmf_float": float(p),
-            }
-            if include_cdf:
-                c = self.cdf(j)
-                row["cdf_num"] = check_decimal_digits(c.numerator)
-                row["cdf_den"] = check_decimal_digits(c.denominator)
-            rows.append(row)
-        return rows
-
-    def to_csv(self, out: IO[str], *, include_cdf: bool = False) -> None:
-        fields = ["j", "pmf_num", "pmf_den", "pmf_float"]
-        if include_cdf:
-            fields += ["cdf_num", "cdf_den"]
-        writer = csv.DictWriter(out, fieldnames=fields)
-        writer.writeheader()
-        for row in self.to_rows(include_cdf=include_cdf):
-            writer.writerow(row)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.params.n,
-            "k": self.params.k,
-            "r": format_rational(self.params.r),
-            "normalizer": format_rational(self.normalizer),
-            "pmf": {str(j): format_rational(p) for j, p in self.pmf_items()},
-            "cdf": {str(j): format_rational(self.cdf(j)) for j in self.support},
-        }
-
-    def csv_text(self, *, include_cdf: bool = False) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf, include_cdf=include_cdf)
-        return buf.getvalue()
-
-
-def build_distribution(params: AdmissibleTriple, *, n_max: int | None = None) -> LahDistribution:
-    """Materialize the exact r-Lah distribution: a view of the full head row
-    of (n, k, r), the same cached row that ``pmf_head`` windows grow."""
-    n = params.n
-    cap = effective_n_max(n_max)
-    if n > cap:
-        raise CapacityExceeded(f"n={n} exceeds n_max={cap}")
-    row = _head_row(n, params.k, params.r, n)
-    return LahDistribution(params, row.cum, row.den)
 
 
 def expectation_exact(n: int, k: int, r: RationalLike) -> Fraction:
@@ -452,8 +274,8 @@ class PmfHead:
 
     def _weights(self) -> List[int]:
         """Integer weights w[k..j_hi], all over the same denominator."""
-        row = self._row()
-        return [row.weight(j) for j in range(self.params.k, self.j_hi + 1)]
+        cum = self._row().cum[: self.j_hi - self.params.k + 1]
+        return [cum[0]] + [b - a for a, b in zip(cum, cum[1:])]
 
     def head_cdf(self, j: int) -> Fraction:
         """Exact P[X <= j] for j <= j_hi (or any j when the head covers n)."""
@@ -474,6 +296,129 @@ class PmfHead:
     def lower_tail(self, j: int) -> Fraction:
         """Exact P[X <= j]."""
         return self.head_cdf(j)
+
+
+class LahDistribution(PmfHead):
+    """The whole r-Lah distribution: the PMF head whose window is the support.
+
+    A view of the full-width head row of (n, k, r), j_hi = n, so that
+    ``pmf``, ``cdf`` and the integer weights are read from the same cached
+    row as every narrower head, over the one denominator
+    ``den = q^n L(n,k)_r``.  Moments, parity, mode and log-concavity are
+    integer sums and comparisons over ``den``; a Fraction is built per
+    read.  Like any head it holds no big integers, so the cache budget
+    bounds whole distributions too.  Use :func:`build_distribution` to
+    construct.
+    """
+
+    cdf = PmfHead.head_cdf  # the head covers n, so every j is answered
+
+    @property
+    def support(self) -> range:
+        return range(self.params.k, self.params.n + 1)
+
+    @property
+    def den(self) -> int:
+        return self._row().den
+
+    @property
+    def normalizer(self) -> Fraction:
+        """L(n,k)_r = den / q^n."""
+        return Fraction(self.den, self.params.r.denominator ** self.params.n)
+
+    def pmf_items(self) -> List[Tuple[int, Fraction]]:
+        den = self.den
+        return [(j, Fraction(w, den)) for j, w in zip(self.support, self._weights())]
+
+    # -- moments -------------------------------------------------------------
+
+    def expectation(self) -> Fraction:
+        """E[X] by the closed form
+
+            (k + [k(n+r) + r(n+1)] * [H_{n+2r-1} - H_{k+2r-1}]) / (n - (k-1)).
+        """
+        return expectation_exact(self.params.n, self.params.k, self.params.r)
+
+    def variance(self) -> Fraction:
+        # no closed form exists; summation only: (den * sum j^2 w - (sum j w)^2) / den^2
+        first = second = 0
+        for j, w in zip(self.support, self._weights()):
+            first += j * w
+            second += j * j * w
+        den = self.den
+        return Fraction(den * second - first * first, den * den)
+
+    # -- shape ---------------------------------------------------------------
+
+    def parity_probabilities(self) -> Tuple[Fraction, Fraction]:
+        """(P[X even], P[X odd]); both equal 1/2 whenever n > k."""
+        weights = self._weights()
+        even = Fraction(sum(weights[(self.params.k % 2):: 2]), self.den)
+        return even, 1 - even
+
+    def mode(self) -> Set[int]:
+        """All maximizers of the PMF; log-concavity makes them 1 or 2 adjacent ints."""
+        weights = self._weights()
+        best = max(weights)
+        return {j for j, w in zip(self.support, weights) if w == best}
+
+    def certify_log_concavity(self) -> Tuple[bool, int | None]:
+        """Check w[i]^2 >= w[i-1]*w[i+1] on the interior (the PMF scaled by
+        den); returns (True, None) or (False, first violating index)."""
+        w = self._weights()
+        for i in range(1, len(w) - 1):
+            if w[i] * w[i] < w[i - 1] * w[i + 1]:
+                return False, i + self.params.k
+        return True, None
+
+    # -- sampling and export ---------------------------------------------------
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Inverse-CDF draws against once-rounded binary64 thresholds.
+
+        Each exact CDF value is rounded to the nearest double once (int true
+        division is correctly rounded, so cum[i] / den is float(P[X <= k+i]));
+        ties of the uniform against a threshold resolve upward.  Per-draw
+        distortion is at most 2^-53.  Deterministic given the generator state.
+        """
+        if count < 0:
+            raise InvalidParameter(f"count must be >= 0, got {count}")
+        row = self._row()
+        thresholds = np.array([c / row.den for c in row.cum])
+        u = rng.random(count)
+        idx = np.searchsorted(thresholds, u, side="right")
+        return idx + self.params.k
+
+    def to_rows(self, *, include_cdf: bool = False) -> List[dict]:
+        head = self._row()  # one lookup for the table, not one per read
+        rows = []
+        for j, w, c in zip(self.support, self._weights(), head.cum):
+            p = Fraction(w, head.den)
+            row = {
+                "j": j,
+                "pmf_num": check_decimal_digits(p.numerator),
+                "pmf_den": check_decimal_digits(p.denominator),
+                "pmf_float": float(p),
+            }
+            if include_cdf:
+                c = Fraction(c, head.den)
+                row["cdf_num"] = check_decimal_digits(c.numerator)
+                row["cdf_den"] = check_decimal_digits(c.denominator)
+            rows.append(row)
+        return rows
+
+
+def build_distribution(params: AdmissibleTriple, *, n_max: int | None = None) -> LahDistribution:
+    """Materialize the exact r-Lah distribution: a view of the full head row
+    of (n, k, r), the same cached row that ``pmf_head`` windows grow."""
+    n = params.n
+    cap = effective_n_max(n_max)
+    if n > cap:
+        raise CapacityExceeded(f"n={n} exceeds n_max={cap}")
+    row = _head_row(n, params.k, params.r, n)
+    if row.cum[-1] != row.den:
+        raise AssertionError("PMF does not sum to 1: the head row is broken")
+    return LahDistribution(params, n)
 
 
 @lru_cache(maxsize=32)

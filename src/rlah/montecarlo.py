@@ -35,7 +35,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -157,7 +156,10 @@ def generate_walk(d: int, n: int, rng: np.random.Generator) -> WalkSample:
         raise CapacityExceeded(f"n={n} exceeds the Monte Carlo walk cap {_MAX_WALK_N}")
     redraws = 0
     while True:
-        steps = rng.standard_normal((n, d))
+        try:
+            steps = rng.standard_normal((n, d))
+        except (ValueError, MemoryError):  # numpy refuses an array of this size
+            raise CapacityExceeded(f"a walk of n={n} steps in d={d} dimensions cannot be allocated") from None
         increments = tuple(tuple(Fraction(float(v)) for v in row) for row in steps)
         sums: List[Vector] = []
         acc = [Fraction(0)] * d
@@ -308,10 +310,9 @@ class MCEstimate:
     mean: float
     stderr: float
     rejects: int
-    elapsed_ms: float
 
-    def to_json_dict(self, *, include_elapsed: bool = True) -> dict:
-        record = {
+    def to_json_dict(self) -> dict:
+        return {
             "d": self.d,
             "n": self.n,
             "k": self.k,
@@ -321,9 +322,13 @@ class MCEstimate:
             "stderr": self.stderr,
             "rejects": self.rejects,
         }
-        if include_elapsed:
-            record["elapsed_ms"] = self.elapsed_ms
-        return record
+
+
+def _check_run(trials: int, seed: int) -> None:
+    if trials < 1:
+        raise InvalidParameter(f"trials must be >= 1, got {trials}")
+    if seed < 0:  # numpy seeds are non-negative
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
 
 
 def estimate_expected_faces(d: int, n: int, k: int, trials: int, seed: int) -> MCEstimate:
@@ -332,9 +337,7 @@ def estimate_expected_faces(d: int, n: int, k: int, trials: int, seed: int) -> M
     Per-trial generators are derived from (seed, trial_index), so the result
     is independent of execution order and trivially parallelizable.
     """
-    if trials < 1:
-        raise InvalidParameter(f"trials must be >= 1, got {trials}")
-    t0 = time.perf_counter()
+    _check_run(trials, seed)
     total = 0
     total_sq = 0
     rejects = 0
@@ -347,8 +350,7 @@ def estimate_expected_faces(d: int, n: int, k: int, trials: int, seed: int) -> M
     mean = total / trials
     var = (total_sq - trials * mean * mean) / (trials - 1) if trials > 1 else 0.0
     stderr = math.sqrt(max(var, 0.0) / trials)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return MCEstimate(d, n, k, trials, seed, mean, stderr, rejects, elapsed)
+    return MCEstimate(d, n, k, trials, seed, mean, stderr, rejects)
 
 
 # -- monotone-signal recovery ---------------------------------------------------
@@ -465,9 +467,7 @@ def estimate_recovery_probability(
     containing the signal, hence not on the amplitudes; the default rule
     draws them all equal to 1 and the invariance is covered by tests.
     """
-    if trials < 1:
-        raise InvalidParameter(f"trials must be >= 1, got {trials}")
-    t0 = time.perf_counter()
+    _check_run(trials, seed)
     successes = 0
     rejects = 0
     for t in range(trials):
@@ -486,5 +486,4 @@ def estimate_recovery_probability(
         successes += unique
     p_hat = successes / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return MCEstimate(d, n, k, trials, seed, p_hat, stderr, rejects, elapsed)
+    return MCEstimate(d, n, k, trials, seed, p_hat, stderr, rejects)

@@ -1,0 +1,169 @@
+"""Independent routes to quantities of the r-Lah law, used only by the tests.
+
+rlah computes each quantity one way; the functions here compute it another
+way, so the tests can hold the two together:
+
+- E[X] by the second closed form (split into its k-part and r-part) and by
+  the PMF sum, against :meth:`rlah.distribution.LahDistribution.expectation`;
+- the generating function as the PMF sum, against
+  :func:`rlah.distribution.pgf_eval`'s alternating sum;
+- the face-ratio complement 2 P[Lah(n,k)_{1/2} in {d+1, d+3, ...}] summed
+  over the whole distribution, against :func:`rlah.cones.face_ratio`'s head
+  sum over {d-1, d-3, ...};
+- the mod-Poisson residual through the exact pgf and through a binary64
+  log-space PMF row, against the certified exact-head sum of
+  :func:`rlah.asymptotics.mod_poisson_residual`.
+
+The log-space row rolls the r-Stirling slices through log-sum-exp and costs
+O(n^2) flops; the Fraction sums cost a full row each.  Neither is used
+outside the tests.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from rlah.asymptotics import lambda_n
+from rlah.cones import ConeFaceQuery
+from rlah.distribution import AdmissibleTriple, LahDistribution, build_distribution, pgf_eval
+from rlah.errors import CapacityExceeded, InvalidParameter
+from rlah.rational import RationalLike, as_rational
+from rlah.stirling import harmonic_diff
+
+DEFAULT_N_MAX_FLOAT = 20_000
+_PGF_METHOD_N_CAP = 512
+_HALF = Fraction(1, 2)
+
+
+# -- expectation and generating function -----------------------------------------
+
+def expectation_alt(n: int, k: int, r: RationalLike) -> Fraction:
+    """E[X] by the other closed form, split into the k-part and the r-part."""
+    r = as_rational(r)
+    h_top = harmonic_diff(k + 2 * r - 1, n - k + 1)  # H_{n+2r}   - H_{k+2r-1}
+    h_low = harmonic_diff(k + 2 * r - 1, n - k)      # H_{n+2r-1} - H_{k+2r-1}
+    return Fraction(k) * (n + 2 * r) / (n - (k - 1)) * h_top + r * h_low
+
+
+def mean_via_pmf(dist: LahDistribution) -> Fraction:
+    """E[X] as sum_j j w[j] / den over the integer weights."""
+    return Fraction(sum(j * w for j, w in zip(dist.support, dist._weights())), dist.den)
+
+
+def pgf_via_pmf(dist: LahDistribution, t: RationalLike) -> Fraction:
+    """E[t^X] summed directly over the PMF.
+
+    With t = a/b this is sum_j w[j] a^j b^(n-j) / (den b^n), one integer sum.
+    """
+    t = as_rational(t)
+    a, b, n = t.numerator, t.denominator, dist.params.n
+    total = sum(w * a ** j * b ** (n - j) for j, w in zip(dist.support, dist._weights()))
+    return Fraction(total, dist.den * b ** n)
+
+
+# -- face ratio ---------------------------------------------------------------------
+
+def face_ratio_complement(q: ConeFaceQuery, *, n_max: int | None = None) -> Fraction:
+    """1 - E[f_k]/binom(n,k) as 2 P[Lah(n,k)_{1/2} in {d+1, d+3, ...}].
+
+    Valid for n > k, where the distribution splits evenly between parities.
+    """
+    if q.n <= q.k:
+        raise InvalidParameter(f"complement identity needs n > k, got n={q.n}, k={q.k}")
+    dist = build_distribution(AdmissibleTriple(q.n, q.k, _HALF), n_max=n_max)
+    total = Fraction(0)
+    j = q.d + 1
+    while j <= q.n:
+        total += dist.pmf(j)
+        j += 2
+    return 2 * total
+
+
+# -- binary64 log-space PMF row -------------------------------------------------------
+
+def log_first_kind_row(n: int, r: float) -> np.ndarray:
+    """log c(n, j)_r for j = 0..n (-inf for 0), rolled forward row by row
+    through log-sum-exp without storing the triangle."""
+    fir = np.full(n + 1, -math.inf)
+    fir[0] = 0.0
+    buf = np.empty(n + 1)
+    for m in range(1, n + 1):
+        coeff = math.log(m + r - 1) if m + r - 1 > 0 else -math.inf
+        np.add(fir[: m], coeff, out=buf[: m])
+        buf[1: m] = np.logaddexp(buf[1: m], fir[: m - 1])
+        buf[m] = fir[m - 1]
+        fir[: m + 1] = buf[: m + 1]
+    return fir
+
+
+def log_second_kind_column(k: int, r: float, n: int) -> np.ndarray:
+    """log S(j, k)_r for j = 0..n (-inf for 0), one column by its linear
+    recurrence; S(j,0)_r = r^j with S(0,0) = 1 for every r."""
+    col = np.full(n + 1, -math.inf)
+    col[0] = 0.0
+    if r > 0:
+        col[1:] = np.arange(1, n + 1) * math.log(r)
+    for kk in range(1, k + 1):
+        prev, col = col, np.full(n + 1, -math.inf)
+        lc = math.log(kk + r)
+        for j in range(1, n + 1):
+            col[j] = np.logaddexp(col[j - 1] + lc, prev[j - 1])
+    return col
+
+
+def log_pmf_row(n: int, k: int, r: float, *, n_max: int = DEFAULT_N_MAX_FLOAT) -> np.ndarray:
+    """log P[X = j] for j = 0..n in binary64, O(n^2) flops and O(n) memory.
+
+    The products of the log-space first-kind row and second-kind column are
+    normalized by their log-sum-exp, so the float PMF sums to 1.
+    """
+    if n > n_max:
+        raise CapacityExceeded(f"n={n} exceeds n_max_float={n_max}")
+    if n < 1 or not 0 <= k <= n:
+        raise InvalidParameter(f"need n >= 1 and 0 <= k <= n, got n={n}, k={k}")
+    if r < 0 or (k == 0 and r == 0):
+        raise InvalidParameter("need r >= 0 and max(k, r) > 0")
+    r = float(r)
+    out = log_first_kind_row(n, r) + log_second_kind_column(k, r, n)
+    finite = out[np.isfinite(out)]
+    top = finite.max()
+    out -= top + math.log(np.exp(finite - top).sum())
+    return out
+
+
+# -- mod-Poisson residual -------------------------------------------------------------
+
+def log_fraction(v: Fraction) -> float:
+    """log v as log(numerator) - log(denominator); -inf for 0."""
+    if v == 0:
+        return -math.inf
+    return math.log(v.numerator) - math.log(v.denominator)
+
+
+def _scale(n: int, k: int, r: Fraction, z: float) -> float:
+    return lambda_n(n, k, float(r)) * (math.exp(z) - 1.0)
+
+
+def residual_via_pgf(n: int, k: int, r: RationalLike, z: float) -> float:
+    """E[e^{z X}] / e^{lambda_n (e^z - 1)} from the exact pgf at e^z rounded
+    once to its 53-bit dyadic; exact-rational in n, so small n only."""
+    r = as_rational(r)
+    if n > _PGF_METHOD_N_CAP:
+        raise CapacityExceeded(f"pgf route is exact-rational in n={n}; capped at {_PGF_METHOD_N_CAP}")
+    t = Fraction(math.exp(z))  # nearest 53-bit dyadic; error propagates linearly
+    value = pgf_eval(AdmissibleTriple(n, k, r), t)
+    return math.exp(log_fraction(value) - _scale(n, k, r, z))
+
+
+def residual_via_logspace(n: int, k: int, r: RationalLike, z: float) -> float:
+    """The same residual summed over the binary64 log-space PMF row."""
+    r = as_rational(r)
+    row = log_pmf_row(n, k, float(r))
+    terms = row + z * np.arange(n + 1, dtype=float)
+    finite = terms[np.isfinite(terms)]
+    top = finite.max()
+    log_sum = top + math.log(np.exp(finite - top).sum())
+    return math.exp(log_sum - _scale(n, k, r, z))

@@ -11,8 +11,6 @@ import pytest
 
 from rlah.asymptotics import (
     _gamma_ratio,
-    _log_first_kind_row,
-    _log_second_kind_column,
     clt_normalize,
     convergence_table,
     digamma,
@@ -26,7 +24,6 @@ from rlah.asymptotics import (
     ldp_upper_tail,
     llt_gaussian_pmf,
     llt_sup_gap,
-    log_pmf_row,
     mod_poisson_residual,
     mode_prediction,
     normal_cdf,
@@ -40,6 +37,14 @@ from rlah.distribution import (
 )
 from rlah.errors import CapacityExceeded, DomainError, InvalidParameter
 from rlah.stirling import StirlingKind, stirling_r
+
+from law_oracle import (
+    log_first_kind_row,
+    log_pmf_row,
+    log_second_kind_column,
+    residual_via_logspace,
+    residual_via_pgf,
+)
 
 HALF = F(1, 2)
 
@@ -104,9 +109,9 @@ def test_logspace_matches_exact(kind, r):
         for k in range(n + 1):
             exact = stirling_r(kind, n, k, r_exact)
             if kind is StirlingKind.FIRST:
-                got = _log_first_kind_row(n, r)[k]
+                got = log_first_kind_row(n, r)[k]
             else:
-                got = _log_second_kind_column(k, r, n)[n]
+                got = log_second_kind_column(k, r, n)[n]
             if exact == 0:
                 assert got == -math.inf
             else:
@@ -116,7 +121,7 @@ def test_logspace_matches_exact(kind, r):
 
 def test_logspace_rows_unimodal():
     for n in (5, 20, 64):
-        row = _log_first_kind_row(n, 0.5)
+        row = log_first_kind_row(n, 0.5)
         top = int(np.argmax(row))
         assert all(np.diff(row[: top + 1]) >= -1e-12)
         assert all(np.diff(row[top:]) <= 1e-12)
@@ -239,14 +244,14 @@ def test_mode_prediction_domain():
 
 def test_residual_at_zero_is_one():
     assert mod_poisson_residual(100, 1, HALF, 0.0) == 1.0
-    assert mod_poisson_residual(100, 1, HALF, 0.0, method="pgf") == 1.0
+    assert residual_via_pgf(100, 1, HALF, 0.0) == 1.0
 
 
 def test_residual_methods_agree():
     for z in (-0.5, 0.3, 1.0):
-        exact = mod_poisson_residual(100, 1, HALF, z, method="exact")
-        via_pgf = mod_poisson_residual(100, 1, HALF, z, method="pgf")
-        via_log = mod_poisson_residual(100, 1, HALF, z, method="logspace")
+        exact = mod_poisson_residual(100, 1, HALF, z)
+        via_pgf = residual_via_pgf(100, 1, HALF, z)
+        via_log = residual_via_logspace(100, 1, HALF, z)
         assert via_pgf == pytest.approx(exact, rel=1e-9)
         assert via_log == pytest.approx(exact, rel=1e-8)
 
@@ -260,10 +265,13 @@ def test_residual_converges_toward_psi():
 
 
 def test_residual_guards():
+    # the pgf route is exact-rational in n; the residual itself has one route
     with pytest.raises(CapacityExceeded):
-        mod_poisson_residual(1000, 1, HALF, 0.5, method="pgf")
-    with pytest.raises(InvalidParameter):
-        mod_poisson_residual(100, 1, HALF, 0.5, method="nope")
+        residual_via_pgf(1000, 1, HALF, 0.5)
+    with pytest.raises(TypeError):
+        mod_poisson_residual(100, 1, HALF, 0.5, method="pgf")
+    with pytest.raises(DomainError):
+        mod_poisson_residual(100, 1, HALF, math.inf)
 
 
 def test_standardized_cdf_at_zero():

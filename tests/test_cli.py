@@ -1,11 +1,15 @@
 """CLI tests: spec'd example commands, exit codes, formats, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rlah.cli import main
 
@@ -205,6 +209,7 @@ def test_huge_rational_literal_is_refused_at_once(capsys):
         ("lah", "--n", "2000", "--k", "1", "--r", "1/2"),
         ("recovery", "--d", "18", "--n", "2500", "--k", "3"),
         ("pmf", "--n", "1500", "--k", "1", "--r", "1/2"),
+        ("stats", "--n", "4096", "--k", "1", "--r", "1/2"),  # refused before the row is built
     ],
 )
 def test_output_past_the_int_to_str_limit_exits_3(capsys, argv):
@@ -237,3 +242,114 @@ def test_asymptotics_overflow_inputs(capsys, extra, code_want):
     assert rows and all(math.isfinite(float(v)) for row in rows for v in row[2:])
     if "--x" in extra:  # no --x here has a usable lattice point and approximant
         assert not any(row[1].startswith("ldp_tail") for row in rows)
+
+
+# -- fuzzing the exit-code contract ------------------------------------------------
+
+_BAD_VALUES = st.sampled_from([
+    "", "x", "1.5", "1e3", "0x10", "--", "3 4", "-3", "0", "zebra", "1/0", "1/", "/2", "nan", "inf",
+    "-1/2", "1e999999", "1//2", "9" * 1001, "2:", ":", "a:b", "1:2:3", "4:1", "1,,2",
+])
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+_N = _ints(1, 300)
+_K = st.one_of(_ints(0, 6), _ints(0, 300))
+_R = st.one_of(st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 20), st.integers(1, 12)),
+               st.sampled_from(["0", "0.5", "2.25", "1e-2"]))
+_FLOATS = st.lists(st.floats(-3.0, 6.0, allow_nan=False).map(repr), min_size=1, max_size=3).map(",".join)
+_N_MAX = _ints(1, 400)
+
+
+def _span(lo, hi):
+    return st.builds(lambda a, w: f"{a}:{a + w}", st.integers(lo, hi), st.integers(0, 4))
+
+
+# Monte Carlo arguments stay small.  A face test with gap >= 3 is an exact LP,
+# run for each of binom(n, k) subsets per trial, so mc-cone at d = 8, n = 12,
+# k = 4 with 3 trials takes seconds; mc-recovery solves LPs over about n
+# variables, which take seconds to minutes at n from 25 up to the LP size cap
+# of 64.  Past n = 64 both commands exit 3 at once.  --trials is never left
+# out (its default is 1000) nor made huge: a run takes every trial it is
+# asked for.
+_MC = [("d", _ints(1, 4)), ("n", st.one_of(_ints(1, 10), _ints(65, 300))), ("k", _ints(0, 4)),
+       ("trials", _ints(1, 3)), ("seed?", _ints(0, 10**6))]
+
+# subcommand -> [(flag, values)]; a trailing "?" marks an optional flag, and
+# None values a bare switch
+_SPECS = {
+    "stirling": [("kind", st.sampled_from(["first", "second"])), ("n", _N), ("k", _K), ("r", _R),
+                 ("n-max?", _N_MAX)],
+    "lah": [("n", _N), ("k", _K), ("r", _R), ("n-max?", _N_MAX)],
+    "pmf": [("n", _N), ("k", _K), ("r", _R), ("cdf?", None), ("n-max?", _N_MAX)],
+    "stats": [("n", _N), ("k", _K), ("r", _R), ("n-max?", _N_MAX)],
+    "pgf": [("n", _N), ("k", _K), ("r", _R), ("t", st.one_of(_R, st.just("-1/3")))],
+    "asymptotics": [("n", st.lists(_ints(2, 300), min_size=1, max_size=3).map(",".join)), ("k", _ints(0, 4)),
+                    ("r", _R), ("z?", _FLOATS), ("x?", _FLOATS)],
+    "faces": [("d-range", _span(1, 12)), ("n-range", _span(1, 300)), ("k", _ints(0, 4)), ("n-max?", _N_MAX)],
+    "threshold": [("k", _ints(0, 6)), ("gamma", st.one_of(_R, st.just("inf"))),
+                  ("c?", st.floats(-5.0, 5.0, allow_nan=False).map(repr))],
+    "recovery": [("d", _ints(1, 12)), ("n", _N), ("k", _ints(0, 12)), ("n-max?", _N_MAX)],
+    "mc-cone": _MC,
+    "mc-recovery": [*_MC, ("amplitudes?", st.sampled_from(["ones", "uniform"]))],
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A valid command line, or one with a single flag dropped or malformed."""
+    command = draw(st.sampled_from(sorted(_SPECS)))
+    flags = []
+    for flag, values in _SPECS[command]:
+        if flag.endswith("?"):
+            if not draw(st.booleans()):
+                continue
+            flag = flag[:-1]
+        flags.append([flag, None if values is None else draw(values)])
+    if command == "faces" and draw(st.booleans()):  # --d / --n instead of the ranges
+        flags = [[flag.replace("-range", ""), value.split(":")[0] if flag.endswith("range") else value]
+                 for flag, value in flags]
+    fault = draw(st.sampled_from(["none", "none", "value", "drop"]))
+    if fault != "none":
+        i = draw(st.integers(0, len(flags) - 1))
+        if fault == "drop" and flags[i][0] != "trials":
+            del flags[i]
+        elif flags[i][1] is not None:
+            bad = _BAD_VALUES.filter(lambda v: not v.isdigit()) if flags[i][0] == "trials" else _BAD_VALUES
+            flags[i][1] = draw(bad)
+    argv = [f"--format={draw(st.sampled_from(['csv', 'json']))}"] if draw(st.booleans()) else []
+    return argv + [command] + [f"--{flag}" if value is None else f"--{flag}={value}" for flag, value in flags]
+
+
+@pytest.mark.parametrize(
+    "argv,code_want",
+    [
+        (("lah", "--n=--", "--k", "1", "--r", "1/2"), 2),  # argparse would store [] for the "--"
+        (("faces", "--d-range=", "--n-range", "1:1", "--k", "0"), 2),  # an empty range is not a missing one
+        (("asymptotics", "--n", "4", "--k", "-3", "--r", "0"), 2),  # refused before lambda_n's square root
+        (("asymptotics", "--n", "7", "--k", "0", "--r", "1e3"), 2),  # the residual at z = -0.5 is past binary64
+        (("mc-cone", "--d", "1", "--n", "1", "--k", "0", "--trials", "1", "--seed", "-3"), 2),  # seeds are >= 0
+        (("mc-cone", "--d", "9" * 30, "--n", "1", "--k", "0", "--trials", "1"), 3),  # numpy refuses the walk
+    ],
+)
+def test_fuzz_found_inputs_keep_the_contract(capsys, argv, code_want):
+    code, out = run_cli(capsys, *argv)
+    assert code == code_want
+    assert set(json.loads(out)) == {"error", "kind"}
+
+
+@given(_argvs())
+@settings(max_examples=300, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_arguments_keep_the_exit_code_contract(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert set(record) == {"error", "kind"}

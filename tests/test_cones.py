@@ -14,13 +14,14 @@ from rlah.cones import (
     ConeFaceQuery,
     expected_face_count,
     face_ratio,
-    face_ratio_complement,
     recovery_probability,
     strong_threshold_check,
     weak_threshold,
 )
 from rlah.errors import CapacityExceeded, InvalidParameter
 from rlah.stirling import StirlingKind, lah_r, stirling_r
+
+from law_oracle import face_ratio_complement
 
 HALF = F(1, 2)
 
@@ -150,6 +151,26 @@ class TestStrongThreshold:
                     assert res.exact_tail_bound is not None
                     if res.exact_defect_bound is not None:
                         assert res.exact_tail_bound >= res.exact_defect_bound
+
+    def test_defect_equals_the_complement_route(self):
+        # the criterion-12 grid plus the sizes around the parity-sum limit
+        points = [(k, d, n) for d in range(1, 11) for n in range(1, 21) for k in range(3)]
+        points += [(k, d, n) for d in (4, 10) for n in (200, 511, 512) for k in range(3)]
+        checked = 0
+        for k, d, n in points:
+            defect = strong_threshold_check(k, d, n).exact_defect_bound
+            if n > k and k <= d - 1 <= n - 1:
+                want = math.comb(n, k) * face_ratio_complement(ConeFaceQuery(d, n, k))
+                assert defect == want
+                checked += 1
+            else:
+                assert defect is None
+        assert checked > 300
+
+    def test_parity_sum_limit_boundary(self):
+        assert strong_threshold_check(1, 8, 512).exact_defect_bound is not None
+        assert strong_threshold_check(1, 8, 513).exact_defect_bound is None
+        assert strong_threshold_check(1, 8, 513).exact_tail_bound is not None
 
     def test_n_below_d_is_allowed(self):
         # the spec's own example sits in this regime; the defect is 0 there

@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlah import distribution
-from rlah.asymptotics import _log_fraction
 from rlah.cli import main as cli_main
 from rlah.distribution import (
     AdmissibleTriple,
@@ -32,6 +31,8 @@ from rlah.distribution import (
 )
 from rlah.errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
 from rlah.stirling import StirlingKind, stirling_r, table_for
+
+from law_oracle import expectation_alt, log_fraction, mean_via_pmf, pgf_via_pmf
 
 HALF = F(1, 2)
 
@@ -113,7 +114,7 @@ def test_expectation_triple_agreement(r):
             if k == 0 and r == 0:
                 continue
             d = dist(n, k, r)
-            assert d.expectation() == d.expectation_alt() == d.mean_via_pmf()
+            assert d.expectation() == expectation_alt(n, k, r) == mean_via_pmf(d)
 
 
 def test_expectation_values():
@@ -179,7 +180,7 @@ def test_pgf_at_one_is_one():
 def test_pgf_example_two_paths():
     params = AdmissibleTriple(2, 1, HALF)
     assert pgf_eval(params, 2) == 3
-    assert dist(2, 1, HALF).pgf(2) == 3
+    assert pgf_via_pmf(dist(2, 1, HALF), 2) == 3
 
 
 def test_pgf_at_minus_one_vanishes_for_n_gt_k():
@@ -200,7 +201,7 @@ def test_pgf_two_path_agreement(r):
             d = dist(n, k, r)
             params = AdmissibleTriple(n, k, r)
             for t in ts:
-                assert pgf_eval(params, t) == d.pgf(t)
+                assert pgf_eval(params, t) == pgf_via_pmf(d, t)
 
 
 # -- bivariate coefficient-extraction oracle -------------------------------------
@@ -296,9 +297,13 @@ def test_sampling_negative_count():
 
 # -- export -------------------------------------------------------------------------
 
-def test_csv_roundtrip():
-    d = dist(3, 1, HALF)
-    text = d.csv_text()
+def _cli_stdout(capsys, *argv):
+    assert cli_main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_csv_roundtrip(capsys):
+    text = _cli_stdout(capsys, "pmf", "--n", "3", "--k", "1", "--r", "1/2")
     lines = text.strip().splitlines()
     assert lines[0] == "j,pmf_num,pmf_den,pmf_float"
     parsed = [line.split(",") for line in lines[1:]]
@@ -306,18 +311,18 @@ def test_csv_roundtrip():
     assert values == {1: F(23, 72), 2: F(1, 2), 3: F(13, 72)}
 
 
-def test_json_roundtrip():
-    d = dist(3, 1, HALF)
-    blob = json.dumps(d.to_json_dict())
-    back = json.loads(blob)
-    assert F(back["pmf"]["1"]) == F(23, 72)
-    assert F(back["cdf"]["2"]) == F(59, 72)
-    assert F(back["normalizer"]) == 18
-    assert F(back["r"]) == HALF
+def test_json_roundtrip(capsys):
+    rows = json.loads(_cli_stdout(capsys, "--format", "json", "pmf", "--n", "3", "--k", "1", "--r", "1/2", "--cdf"))
+    by_j = {row["j"]: row for row in rows["rows"]}
+    assert F(by_j[1]["pmf_num"], by_j[1]["pmf_den"]) == F(23, 72)
+    assert F(by_j[2]["cdf_num"], by_j[2]["cdf_den"]) == F(59, 72)
+    record = json.loads(_cli_stdout(capsys, "stats", "--n", "3", "--k", "1", "--r", "1/2"))
+    assert F(record["normalizer"]) == 18
+    assert F(record["r"]) == HALF
 
 
-def test_csv_with_cdf_columns():
-    text = dist(3, 1, HALF).csv_text(include_cdf=True)
+def test_csv_with_cdf_columns(capsys):
+    text = _cli_stdout(capsys, "pmf", "--n", "3", "--k", "1", "--r", "1/2", "--cdf")
     lines = text.strip().splitlines()
     assert lines[0] == "j,pmf_num,pmf_den,pmf_float,cdf_num,cdf_den"
     last = lines[-1].split(",")
@@ -397,7 +402,7 @@ def test_every_method_matches_the_triangle_oracle(triple):
     assert [d.pmf(j) for j in range(k - 1, n + 2)] == [0, *pmf, 0]
     assert [d.cdf(j) for j in range(k - 1, n + 2)] == [0, *cdf, 1]
     mean = sum(j * p for j, p in zip(support, pmf))
-    assert d.mean_via_pmf() == d.expectation() == d.expectation_alt() == mean
+    assert mean_via_pmf(d) == d.expectation() == expectation_alt(n, k, r) == mean
     assert d.variance() == sum(j * j * p for j, p in zip(support, pmf)) - mean * mean
     even = sum(p for j, p in zip(support, pmf) if j % 2 == 0)
     assert d.parity_probabilities() == (even, 1 - even)
@@ -405,7 +410,7 @@ def test_every_method_matches_the_triangle_oracle(triple):
     violation = next((i + k for i in range(1, len(pmf) - 1) if pmf[i] ** 2 < pmf[i - 1] * pmf[i + 1]), None)
     assert d.certify_log_concavity() == (violation is None, violation)
     for t in (F(-1), F(0), F(1, 3), F(2), F(-5, 2)):
-        assert d.pgf(t) == sum(t ** j * p for j, p in zip(support, pmf))
+        assert pgf_via_pmf(d, t) == sum(t ** j * p for j, p in zip(support, pmf))
     thresholds = np.array([float(c) for c in cdf])
     want = np.searchsorted(thresholds, np.random.default_rng(n).random(64), side="right") + k
     assert d.sample(np.random.default_rng(n), 64).tolist() == want.tolist()
@@ -478,8 +483,8 @@ def test_float_and_log_accessors_are_bit_identical(n, k, r):
     for j in range(k - 1, head.j_hi + 1):
         p = head.pmf(j)
         assert head.pmf_float(j) == float(p)
-        assert head.log_pmf(j) == _log_fraction(p)
-        assert head.log_pmf(j) == _log_fraction(p)  # memoized value
+        assert head.log_pmf(j) == log_fraction(p)
+        assert head.log_pmf(j) == log_fraction(p)  # memoized value
 
 
 def test_two_k_share_one_first_kind_prefix(monkeypatch):
