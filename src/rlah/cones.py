@@ -187,10 +187,12 @@ def recovery_probability(d: int, n: int, k: int, *, n_max: int | None = None) ->
     """Exact P[unique recovery of a random k-jump monotone signal from d
     Gaussian measurements of an n-vector].
 
-    Equals the face ratio E[f_k]/binom(n,k) for k <= d-1.  The boundary case
-    k = d is evaluated verbatim from the same alternating sum, where it
-    collapses to 0; callers surfacing it should flag the boundary (the CLI
-    does).
+    Equals the face ratio E[f_k]/binom(n,k) for k <= d-1: G maps the
+    monotone chamber's generators 1_[1..i] to a Gaussian random walk, and the
+    signal is recovered uniquely iff its jump set spans a k-face of that
+    walk's cone.  The boundary case k = d is evaluated verbatim from the same
+    alternating sum, where it collapses to 0; callers surfacing it should
+    flag the boundary (the CLI does).
     """
     if not 0 <= k <= d <= n:
         raise InvalidParameter(f"need 0 <= k <= d <= n, got k={k}, d={d}, n={n}")

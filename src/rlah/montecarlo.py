@@ -23,11 +23,13 @@ common denominator, so an LP on these integer rows never leaves the
 integers).  The certificate is the vertex or LP point u, which callers can
 re-check against the sums.  Pointedness is the case A = {} (g = rank(S)).
 
-Uniqueness of monotone-signal recovery is decided on the kernel polytope
-K = {w : x + N w in B^(n)}: K contains 0 always, and equals {0} iff each
-kernel coordinate has maximum and minimum 0 over K (unboundedness counting
-as failure), by exact LPs on the integer kernel basis; the same simplex
-decides the LPs of the three-way cone classification.
+Uniqueness of monotone-signal recovery is the same face test.  The
+monotone chamber is the simplicial cone of the indicators 1_[1..i], and a
+measurement matrix G maps them to the walk S_i = G 1_[1..i] of its column
+sums; a k-jump signal is the unique preimage of its measurements iff the
+walk steps at its jump positions span a k-face of pos(S) (Donoho and
+Tanner, *Discrete Comput. Geom.* 43, 2010, argue the same for orthants).
+The LPs of the three-way cone classification run on the same simplex.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapacityExceeded, DegenerateSample, InvalidParameter
-from .simplex import OPTIMAL, UNBOUNDED, solve_lp
+from .simplex import OPTIMAL, solve_lp
 
 _ENUMERATION_CAP = 10 ** 6
 _MAX_WALK_N = 24
@@ -51,6 +53,10 @@ _MAX_REDRAWS = 16
 # The vertex search tries binom(n - k, g) tight sets; larger gaps g go to an
 # LP over g variables instead.
 _MAX_VERTEX_GAP = 2
+# Recovery instances stop at n = 64.  Past it a face LP (n - k rows) can
+# exceed the simplex's design size, as would the kernel-polytope LP of the
+# tests' oracle (n - d variables, n rows), whose size the refusal reports.
+_MAX_RECOVERY_N = 64
 
 Vector = Tuple[Fraction, ...]
 IntRow = Tuple[int, ...]
@@ -144,6 +150,16 @@ class WalkSample:
         return _null_space(self._scaled[1], self.d)[1]
 
 
+def _walk(d: int, increments: Tuple[Vector, ...], redraws: int = 0) -> WalkSample:
+    """The walk in R^d with these increments: S_i is the sum of the first i."""
+    sums: List[Vector] = []
+    acc = [Fraction(0)] * d
+    for inc in increments:
+        acc = [a + b for a, b in zip(acc, inc)]
+        sums.append(tuple(acc))
+    return WalkSample(d, len(increments), increments, tuple(sums), redraws)
+
+
 def generate_walk(d: int, n: int, rng: np.random.Generator) -> WalkSample:
     """Draw Gaussian increments, promote to exact dyadics, form partial sums.
 
@@ -161,12 +177,7 @@ def generate_walk(d: int, n: int, rng: np.random.Generator) -> WalkSample:
         except (ValueError, MemoryError):  # numpy refuses an array of this size
             raise CapacityExceeded(f"a walk of n={n} steps in d={d} dimensions cannot be allocated") from None
         increments = tuple(tuple(Fraction(float(v)) for v in row) for row in steps)
-        sums: List[Vector] = []
-        acc = [Fraction(0)] * d
-        for inc in increments:
-            acc = [a + b for a, b in zip(acc, inc)]
-            sums.append(tuple(acc))
-        sample = WalkSample(d, n, increments, tuple(sums), redraws)
+        sample = _walk(d, increments, redraws)
         if _rank(sample._scaled[1]) == min(n, d):
             return sample
         redraws += 1
@@ -370,16 +381,6 @@ class RecoveryInstance:
     amplitudes: Tuple[Fraction, ...]
     matrix: Tuple[Vector, ...]  # d rows of n dyadic rationals
 
-    @property
-    def signal(self) -> Vector:
-        return tuple(
-            sum(
-                (a for a, i in zip(self.amplitudes, self.jump_positions) if i >= m),
-                Fraction(0),
-            )
-            for m in range(1, self.n + 1)
-        )
-
     def with_amplitudes(self, amplitudes: Sequence[Fraction]) -> "RecoveryInstance":
         if len(amplitudes) != self.k or any(a <= 0 for a in amplitudes):
             raise InvalidParameter("need exactly k positive amplitudes")
@@ -399,16 +400,18 @@ def make_recovery_instance(
     Gaussian measurement matrix promoted to dyadic rationals."""
     if not 0 <= k <= d <= n:
         raise InvalidParameter(f"need 0 <= k <= d <= n, got k={k}, d={d}, n={n}")
-    positions = tuple(sorted(int(v) + 1 for v in rng.choice(n, size=k, replace=False)))
-    if amplitude_rule == "ones":
-        amplitudes = tuple(Fraction(1) for _ in range(k))
-    elif amplitude_rule == "uniform":
-        amplitudes = tuple(Fraction(float(1.0 - rng.random())) for _ in range(k))
-    else:
+    if amplitude_rule not in ("ones", "uniform"):
         raise InvalidParameter(f"unknown amplitude rule {amplitude_rule!r}")
-    matrix = tuple(
-        tuple(Fraction(float(v)) for v in row) for row in rng.standard_normal((d, n))
-    )
+    try:
+        positions = tuple(sorted(int(v) + 1 for v in rng.choice(n, size=k, replace=False)))
+        if amplitude_rule == "ones":
+            amplitudes = tuple(Fraction(1) for _ in range(k))
+        else:
+            amplitudes = tuple(Fraction(float(1.0 - rng.random())) for _ in range(k))
+        draws = rng.standard_normal((d, n))
+    except (OverflowError, ValueError, MemoryError):  # numpy refuses an n or a matrix of this size
+        raise CapacityExceeded(f"a {d} x {n} measurement matrix cannot be allocated") from None
+    matrix = tuple(tuple(Fraction(float(v)) for v in row) for row in draws)
     return RecoveryInstance(d, n, k, positions, amplitudes, matrix)
 
 
@@ -421,36 +424,25 @@ def _kernel_basis(matrix: Sequence[Vector], n: int) -> Optional[List[IntRow]]:
 def is_unique_recovery(inst: RecoveryInstance) -> bool:
     """Is x the only point of the monotone chamber in x + ker(G)?
 
-    Decided by 2 dim(ker G) exact LPs maximizing each +-kernel coordinate
-    over K = {w : x + N w stays monotone nonnegative}; K = {0} iff all these
-    maxima are 0, with unboundedness counting as non-uniqueness.
+    The chamber is the simplicial cone of the indicators 1_[1..i], and G
+    maps 1_[1..i] to the walk step S_i = G 1_[1..i], the sum of G's first i
+    columns.  So x, which lies in the relative interior of the chamber's face
+    spanned by its jump indicators, is the unique preimage iff the walk steps
+    at its jump positions span a k-face of pos(S).  That is one face test on
+    the walk: pointedness when k = 0, and never a face when k = d < n.  The
+    amplitudes do not enter.
     """
-    basis = _kernel_basis(inst.matrix, inst.n)
-    if basis is None:
+    if _kernel_basis(inst.matrix, inst.n) is None:
         raise DegenerateSample("measurement matrix is not of full row rank")
-    m = len(basis)
-    if m == 0:
+    d, n = inst.d, inst.n
+    if n == d:  # G is injective
         return True
-    x = inst.signal
-    n = inst.n
-    a_ub: List[List[int]] = []
-    b_ub: List[Fraction] = []
-    for i in range(n - 1):
-        a_ub.append([basis[l][i + 1] - basis[l][i] for l in range(m)])
-        b_ub.append(x[i] - x[i + 1])
-    a_ub.append([-basis[l][n - 1] for l in range(m)])
-    b_ub.append(x[n - 1])
-    for l in range(m):
-        for sign in (1, -1):
-            c = [0] * m
-            c[l] = sign
-            result = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
-            if result.status == UNBOUNDED:
-                return False
-            assert result.status == OPTIMAL  # w = 0 is always feasible
-            if result.objective != 0:
-                return False
-    return True
+    if n > _MAX_RECOVERY_N:
+        raise CapacityExceeded(
+            f"LP with {n - d} variables / {n} constraints exceeds the {_MAX_RECOVERY_N} design size"
+        )
+    columns = tuple(tuple(row[i] for row in inst.matrix) for i in range(n))
+    return _support(_walk(d, columns), [i - 1 for i in inst.jump_positions]) is not None
 
 
 def estimate_recovery_probability(
@@ -463,9 +455,10 @@ def estimate_recovery_probability(
 ) -> MCEstimate:
     """Fraction of trials with unique recovery; deterministic given seed.
 
-    The uniqueness event depends only on the face of the monotone chamber
-    containing the signal, hence not on the amplitudes; the default rule
-    draws them all equal to 1 and the invariance is covered by tests.
+    The uniqueness event is a face test on the jump positions, so the
+    amplitudes never enter it: ``amplitude_rule`` changes only the draw
+    sequence ("uniform" draws k uniforms between the positions and the
+    matrix).
     """
     _check_run(trials, seed)
     successes = 0

@@ -125,6 +125,42 @@ def test_mc_recovery_runs(capsys):
     assert json.loads(out)["mean"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "argv,code_want,mean",
+    [
+        (("--d", "0", "--n", "3", "--k", "0"), 0, 0.0),  # no functional is negative on a walk in R^0
+        (("--d", "0", "--n", "0", "--k", "0"), 0, 1.0),
+        (("--d", "2", "--n", "2", "--k", "2"), 0, 1.0),  # n = d: G is injective
+        (("--d", "70", "--n", "70", "--k", "3", "--trials", "1"), 0, 1.0),  # also past the LP design size
+        (("--d", "2", "--n", "65", "--k", "1"), 3, None),
+    ],
+)
+def test_mc_recovery_edge_outcomes(capsys, argv, code_want, mean):
+    code, out = run_cli(capsys, "mc-recovery", *argv)
+    assert code == code_want
+    record = json.loads(out)
+    if code:
+        assert record["kind"] == "CapacityExceeded"
+    else:
+        assert record["mean"] == mean
+
+
+@pytest.mark.parametrize(
+    "argv,mean",
+    [
+        (("--d", "1", "--n", "60", "--k", "0", "--trials", "3"), 1 / 3),
+        (("--d", "4", "--n", "40", "--k", "2", "--trials", "1"), 0.0),
+    ],
+)
+def test_mc_recovery_below_the_size_cap_is_fast(capsys, argv, mean):
+    # as kernel-polytope LPs these took more than 100 s and 13 s
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "mc-recovery", *argv)
+    assert time.perf_counter() - start < 5.0  # the fuzz test's deadline
+    assert code == 0
+    assert json.loads(out)["mean"] == mean
+
+
 def test_asymptotics_csv(capsys):
     code, out = run_cli(
         capsys, "asymptotics", "--n", "100", "--k", "1", "--r", "1/2", "--z", "0.3", "--x", "2.0"
@@ -268,15 +304,17 @@ def _span(lo, hi):
     return st.builds(lambda a, w: f"{a}:{a + w}", st.integers(lo, hi), st.integers(0, 4))
 
 
-# Monte Carlo arguments stay small.  A face test with gap >= 3 is an exact LP,
-# run for each of binom(n, k) subsets per trial, so mc-cone at d = 8, n = 12,
-# k = 4 with 3 trials takes seconds; mc-recovery solves LPs over about n
-# variables, which take seconds to minutes at n from 25 up to the LP size cap
-# of 64.  Past n = 64 both commands exit 3 at once.  --trials is never left
-# out (its default is 1000) nor made huge: a run takes every trial it is
-# asked for.
+# Monte Carlo arguments stay small.  mc-cone runs a face test for each of
+# binom(n, k) subsets per trial, and a test with gap >= 3 is an exact LP, so
+# mc-cone at d = 8, n = 12, k = 4 with 3 trials takes seconds; its n stays at
+# 10 or less, or past the LP size cap of 64, where it exits 3 at once.
+# mc-recovery runs one face test per trial, under 1 s for 3 trials at n = 64
+# and d <= 4, so it takes every n up to 300.  --trials is never left out (its
+# default is 1000) nor made huge: a run takes every trial it is asked for.
 _MC = [("d", _ints(1, 4)), ("n", st.one_of(_ints(1, 10), _ints(65, 300))), ("k", _ints(0, 4)),
        ("trials", _ints(1, 3)), ("seed?", _ints(0, 10**6))]
+_MC_RECOVERY = [("d", _ints(1, 4)), ("n", _N), ("k", _ints(0, 4)), ("trials", _ints(1, 3)),
+                ("seed?", _ints(0, 10**6)), ("amplitudes?", st.sampled_from(["ones", "uniform"]))]
 
 # subcommand -> [(flag, values)]; a trailing "?" marks an optional flag, and
 # None values a bare switch
@@ -294,7 +332,7 @@ _SPECS = {
                   ("c?", st.floats(-5.0, 5.0, allow_nan=False).map(repr))],
     "recovery": [("d", _ints(1, 12)), ("n", _N), ("k", _ints(0, 12)), ("n-max?", _N_MAX)],
     "mc-cone": _MC,
-    "mc-recovery": [*_MC, ("amplitudes?", st.sampled_from(["ones", "uniform"]))],
+    "mc-recovery": _MC_RECOVERY,
 }
 
 
@@ -333,6 +371,7 @@ def _argvs(draw):
         (("asymptotics", "--n", "7", "--k", "0", "--r", "1e3"), 2),  # the residual at z = -0.5 is past binary64
         (("mc-cone", "--d", "1", "--n", "1", "--k", "0", "--trials", "1", "--seed", "-3"), 2),  # seeds are >= 0
         (("mc-cone", "--d", "9" * 30, "--n", "1", "--k", "0", "--trials", "1"), 3),  # numpy refuses the walk
+        (("mc-recovery", "--d", "1", "--n", "9" * 30, "--k", "0", "--trials", "1"), 3),  # past numpy's C long
     ],
 )
 def test_fuzz_found_inputs_keep_the_contract(capsys, argv, code_want):

@@ -2,9 +2,11 @@
 
 Hand-built cones with known face lattices pin down the face
 characterization, and an LP route on the original Fraction sums is the
-oracle for the vertex and reduced-LP face tests; seeded estimator runs are
-checked against the exact closed forms from the cones module (the runs are
-deterministic, so these are frozen comparisons, not flaky statistics).
+oracle for the vertex and reduced-LP face tests.  Recovery uniqueness, a face
+test on the walk of the matrix's column sums, is held to the kernel-polytope
+LPs of ``recovery_oracle``.  Seeded estimator runs are checked against the
+exact closed forms from the cones module (the runs are deterministic, so
+these are frozen comparisons, not flaky statistics).
 """
 
 import itertools
@@ -12,6 +14,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from recovery_oracle import is_unique_recovery_lp, signal
 
 from rlah.cones import ConeFaceQuery, expected_face_count, recovery_probability
 from rlah.errors import CapacityExceeded, DegenerateSample, InvalidParameter
@@ -247,12 +250,12 @@ class TestRecovery:
             d=3, n=5, k=2, jump_positions=(2, 4), amplitudes=(F(1), F(2)),
             matrix=tuple(tuple(F(v) for v in row) for row in np.eye(3, 5)),
         )
-        assert inst.signal == (F(3), F(3), F(2), F(2), F(0))
+        assert signal(inst) == (F(3), F(3), F(2), F(2), F(0))
 
     def test_signal_monotone_with_k_descents(self):
         for seed in range(8):
             inst = make_recovery_instance(4, 9, 3, np.random.default_rng(seed), "uniform")
-            x = inst.signal
+            x = signal(inst)
             assert all(a >= b for a, b in zip(x, x[1:]))
             assert x[-1] >= 0
             descents = sum(1 for a, b in zip(x, x[1:]) if a > b) + (x[-1] > 0)
@@ -276,13 +279,27 @@ class TestRecovery:
             make_recovery_instance(3, 6, 2, np.random.default_rng(0), "gaussian")
 
     def test_amplitude_invariance(self):
+        # the face route never reads the amplitudes, so the invariance it
+        # rests on is checked on the kernel polytope, which does
         scales = [F(7, 3), F(1, 5), F(12)]
         for seed in range(25):
             inst = make_recovery_instance(3, 6, 2, np.random.default_rng((99, seed)))
-            base = is_unique_recovery(inst)
+            base = is_unique_recovery_lp(inst)
             for s in scales:
                 rescaled = inst.with_amplitudes([a * s for a in inst.amplitudes])
-                assert is_unique_recovery(rescaled) == base
+                assert is_unique_recovery_lp(rescaled) == base
+
+    @pytest.mark.parametrize("rule", ["ones", "uniform"])
+    def test_face_route_matches_kernel_polytope_oracle(self, rule):
+        outcomes = set()
+        for d in range(1, 7):
+            for n in range(d, 11):
+                for k in range(d + 1):
+                    inst = make_recovery_instance(d, n, k, np.random.default_rng((808, d, n, k)), rule)
+                    unique = is_unique_recovery(inst)
+                    assert unique == is_unique_recovery_lp(inst), (d, n, k, inst.jump_positions)
+                    outcomes.add(unique)
+        assert outcomes == {True, False}
 
     def test_with_amplitudes_validation(self):
         inst = make_recovery_instance(3, 6, 2, np.random.default_rng(1))

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import recovery_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lp_oracle import solve_lp_rational
@@ -156,15 +157,16 @@ def test_degenerate_negative_pivot_out_matches_oracle():
 
 
 # the criterion-09 and mc-cone points, one walk with n < d, and the
-# criterion-10 and mc-recovery points
+# criterion-10 and mc-recovery points; on the recovery points every face test
+# is a vertex test, so their LPs come from the kernel-polytope oracle
 CONE_GRID = [(2, 2, 1), (2, 4, 1), (3, 4, 1), (3, 4, 2), (3, 6, 2), (3, 6, 0), (4, 6, 1), (4, 6, 2),
              (4, 3, 1)]
 RECOVERY_GRID = [(2, 3, 1), (2, 6, 1), (3, 6, 2), (4, 8, 2)]
 
 
 def test_monte_carlo_lps_match_fraction_oracle(monkeypatch):
-    """Every LP the seeded cone and recovery Monte Carlo solves, and the
-    full face LPs on the Fraction sums, give the oracle's result."""
+    """Every LP the seeded cone Monte Carlo and the recovery oracle solve,
+    and the full face LPs on the Fraction sums, give the oracle's result."""
     lps_seen = []
 
     def recording(*args, **kwargs):
@@ -172,6 +174,7 @@ def test_monte_carlo_lps_match_fraction_oracle(monkeypatch):
         return solve_lp(*args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "solve_lp", recording)
+    monkeypatch.setattr(recovery_oracle, "solve_lp", recording)
     for d, n, k in CONE_GRID:
         for seed in range(5):
             sample = montecarlo.generate_walk(d, n, np.random.default_rng((2024, d, n, seed)))
@@ -188,7 +191,7 @@ def test_monte_carlo_lps_match_fraction_oracle(monkeypatch):
             for trial in range(6):
                 inst = montecarlo.make_recovery_instance(d, n, k, np.random.default_rng((123, trial)), rule)
                 try:
-                    montecarlo.is_unique_recovery(inst)
+                    recovery_oracle.is_unique_recovery_lp(inst)
                 except DegenerateSample:
                     continue
     statuses = set()
