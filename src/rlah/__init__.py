@@ -8,7 +8,8 @@ against certified exact prefixes of the distribution.  Two application
 layers consume the exact core: expected face counts of cones generated by
 random walks, and unique-recovery probabilities for sparse monotone signals,
 each with a Monte Carlo verifier built on exact integer elimination and an
-exact simplex on a fraction-free integer tableau.
+exact phase-1 simplex (one Farkas LP per face test) on a fraction-free
+integer tableau.
 """
 
 from .asymptotics import (

@@ -14,9 +14,12 @@ each (for n > k), the complement identity
 
     1 - E[f_k]/binom(n,k) = 2 P[Lah(n,k)_{1/2} in {d+1, d+3, ...}]
 
-holds exactly.  The same ratio is the probability of uniquely recovering a
-random k-jump monotone signal from d Gaussian measurements, which is what
-the threshold classifiers in this module are about.
+holds exactly.  That probability is a head sum over the exact PMF, so it
+is the one route: E[f_k] is binom(n,k) times it, and the alternating
+Stirling sum above is the tests' oracle.  The same ratio is the probability
+of uniquely recovering a random k-jump monotone signal from d Gaussian
+measurements, which is what the threshold classifiers in this module are
+about.
 """
 
 from __future__ import annotations
@@ -27,19 +30,15 @@ from fractions import Fraction
 from typing import Optional
 
 from .distribution import (
-    _cache_lock,
-    _prefix,
     build_distribution,  # unused here, but rlahbench/tracing.py wraps rlah.cones.build_distribution
     pmf_head,
 )
 from .errors import CapacityExceeded, InvalidParameter
 from .rational import as_rational
 from .stirling import (
-    StirlingKind,
     effective_n_max,
-    factorial,
     first_kind_prefix,  # unused here, but rlahbench/tracing.py wraps rlah.cones.first_kind_prefix
-    stirling_r,
+    stirling_r,  # unused here, but rlahbench/tracing.py wraps rlah.cones.stirling_r
 )
 
 _HALF = Fraction(1, 2)
@@ -71,28 +70,9 @@ def _check_cap(n: int, n_max: int | None) -> None:
         raise CapacityExceeded(f"n={n} exceeds n_max={cap}")
 
 
-def _alternating_stirling_sum(n: int, d: int, k: int, *, n_max: int | None = None) -> Fraction:
-    """sum_{l>=0} c(n, d-2l-1)_{1/2} * S(d-2l-1, k)_{1/2}; finite by construction.
-
-    Only the first d columns of row n enter, so they are read from the
-    scaled first-kind prefix of (n, 1/2) that the PMF heads share,
-    c(n, j)_{1/2} = b[j] / 2^(n-j).
-    """
-    _check_cap(n, n_max)
-    if d - 1 < k:
-        return Fraction(0)  # no term; d = 0 would ask for an empty prefix
-    with _cache_lock:
-        b = _prefix(n, _HALF, d - 1)
-    total = Fraction(0)
-    for j in range(d - 1, k - 1, -2):
-        total += Fraction(b[j], 2 ** (n - j)) * stirling_r(StirlingKind.SECOND, j, k, _HALF, n_max=n_max)
-    return total
-
-
 def expected_face_count(q: ConeFaceQuery, *, n_max: int | None = None) -> Fraction:
-    """Exact E[f_k(C_n^B)] = (2 k!/n!) * alternating Stirling sum."""
-    s = _alternating_stirling_sum(q.n, q.d, q.k, n_max=n_max)
-    return 2 * factorial(q.k) * s / factorial(q.n)
+    """Exact E[f_k(C_n^B)] = binom(n,k) * face ratio."""
+    return math.comb(q.n, q.k) * face_ratio(q, n_max=n_max)
 
 
 def face_ratio(q: ConeFaceQuery, *, n_max: int | None = None) -> Fraction:
@@ -190,13 +170,13 @@ def recovery_probability(d: int, n: int, k: int, *, n_max: int | None = None) ->
     Equals the face ratio E[f_k]/binom(n,k) for k <= d-1: G maps the
     monotone chamber's generators 1_[1..i] to a Gaussian random walk, and the
     signal is recovered uniquely iff its jump set spans a k-face of that
-    walk's cone.  The boundary case k = d is evaluated verbatim from the same
-    alternating sum, where it collapses to 0; callers surfacing it should
+    walk's cone.  At the boundary k = d the alternating sum has no terms
+    (d - 2l - 1 < k), so the probability is 0; callers surfacing it should
     flag the boundary (the CLI does).
     """
     if not 0 <= k <= d <= n:
         raise InvalidParameter(f"need 0 <= k <= d <= n, got k={k}, d={d}, n={n}")
     if k <= d - 1:
         return face_ratio(ConeFaceQuery(d, n, k), n_max=n_max)
-    s = _alternating_stirling_sum(n, d, k, n_max=n_max)
-    return 2 * factorial(k) * s / (factorial(n) * math.comb(n, k))
+    _check_cap(n, n_max)
+    return Fraction(0)

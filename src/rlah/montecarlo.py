@@ -4,24 +4,24 @@ Walk increments and measurement matrices are drawn as binary64 Gaussians and
 promoted to exact dyadic rationals; every geometric decision after that point
 is exact.  A walk's partial sums are scaled once, by the common denominator
 of their entries (a power of two), to integer rows S', and one fraction-free
-elimination routine in the style of Bareiss serves the rank checks, the
-kernel bases and the small solves on those integers.  There are no
-tolerances to tune, and genericity violations are detectable as exact rank
-deficiencies, which are rejected, redrawn and counted.
+elimination routine in the style of Bareiss serves the rank checks and the
+kernel bases on those integers.  There are no tolerances to tune, and
+genericity violations are detectable as exact rank deficiencies, which are
+rejected, redrawn and counted.
 
 A subset A of generators spans a k-face of the cone iff it is independent
 and some functional u vanishes on A while being strictly negative on the
 rest; strictness is encoded conically as S_j u <= -1.  Only u in the span V
-of the sums matters, and within V the set P = {u : S_A u = 0, S_j u <= -1
-off A} has no lineality, so when it is nonempty it has a vertex, where
-g = rank(S) - k of its inequality rows are tight.  With u = N w, N an
-integer basis of span(A)^perp within V, the question lives in g variables:
-for g <= 2 every g-subset B of the other generators is tried as the tight
-set (the vertex test), and for g >= 3 an exact LP over w decides it (the
-simplex of :mod:`rlah.simplex`, which pivots an integer tableau over one
-common denominator, so an LP on these integer rows never leaves the
-integers).  The certificate is the vertex or LP point u, which callers can
-re-check against the sums.  Pointedness is the case A = {} (g = rank(S)).
+of the sums matters.  With u = L N w, N an integer basis of span(A)^perp
+within V, the question lives in g = rank(S) - k variables: is
+{w : c_j.w <= -1} nonempty, c_j = S'_j N the projected rows of the other
+generators?  By Farkas' lemma it is empty iff 0 is a convex combination of
+the c_j, which is one phase-1 LP with only g + 1 rows, however many
+generators there are (the simplex of :mod:`rlah.simplex`, which pivots an
+integer tableau over one common denominator).  When that LP is infeasible
+its multipliers y = (v, s), s < 0, give w = v / s with c_j.w <= -1.  So one
+route serves every g, and the certificate u is exact and can be re-checked
+against the sums.  Pointedness is the case A = {} (g = rank(S)).
 
 Uniqueness of monotone-signal recovery is the same face test.  The
 monotone chamber is the simplicial cone of the indicators 1_[1..i], and a
@@ -29,7 +29,8 @@ measurement matrix G maps them to the walk S_i = G 1_[1..i] of its column
 sums; a k-jump signal is the unique preimage of its measurements iff the
 walk steps at its jump positions span a k-face of pos(S) (Donoho and
 Tanner, *Discrete Comput. Geom.* 43, 2010, argue the same for orthants).
-The LPs of the three-way cone classification run on the same simplex.
+The three-way cone classification asks the same simplex whether each
++-e_i is a nonnegative combination of the sums.
 """
 
 from __future__ import annotations
@@ -45,17 +46,15 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapacityExceeded, DegenerateSample, InvalidParameter
-from .simplex import OPTIMAL, solve_lp
+from .simplex import INFEASIBLE, solve_lp
 
 _ENUMERATION_CAP = 10 ** 6
 _MAX_WALK_N = 24
 _MAX_REDRAWS = 16
-# The vertex search tries binom(n - k, g) tight sets; larger gaps g go to an
-# LP over g variables instead.
-_MAX_VERTEX_GAP = 2
-# Recovery instances stop at n = 64.  Past it a face LP (n - k rows) can
-# exceed the simplex's design size, as would the kernel-polytope LP of the
-# tests' oracle (n - d variables, n rows), whose size the refusal reports.
+# Recovery instances stop at n = 64, a documented refusal made before any
+# work.  The face test's Farkas LP has n - k columns and at most d + 1 rows,
+# so below the cap it always fits the simplex's 64-column guard; lifting the
+# cap means lifting that guard with it.
 _MAX_RECOVERY_N = 64
 
 Vector = Tuple[Fraction, ...]
@@ -185,24 +184,6 @@ def generate_walk(d: int, n: int, rng: np.random.Generator) -> WalkSample:
             raise DegenerateSample("persistent rank deficiency in walk generation")
 
 
-def _vertex(rows: Sequence[IntRow], g: int) -> Optional[List[Fraction]]:
-    """A vertex w of {w : c.w <= -1 for c in rows}, or None (g <= 2).
-
-    Tries every g-subset B of the rows as the tight set: a nonsingular B
-    gives one candidate point, kept if it satisfies the other rows.
-    """
-    for tight in itertools.combinations(rows, g):
-        mat, pivots, den = _eliminate([list(c) + [-1] for c in tight], g)
-        if len(pivots) < g:
-            continue
-        x = [row[g] for row in mat]  # w = x / den
-        if den < 0:
-            x, den = [-v for v in x], -den
-        if all(_dot(c, x) <= -den for c in rows):
-            return [Fraction(v, den) for v in x]
-    return None
-
-
 def _support(sample: WalkSample, subset: Sequence[int]) -> Optional[List[Fraction]]:
     """u with S_i u = 0 on the subset and S_j u <= -1 off it, or None.
 
@@ -218,26 +199,25 @@ def _support(sample: WalkSample, subset: Sequence[int]) -> Optional[List[Fractio
     chosen = set(subset)
     g = len(basis)
     projected = [tuple(_dot(row, v) for v in basis) for j, row in enumerate(rows) if j not in chosen]
-    if g <= _MAX_VERTEX_GAP:
-        w = _vertex(projected, g)
-    else:
-        result = solve_lp([0] * g, a_ub=projected, b_ub=[-1] * len(projected))
-        w = result.x if result.status == OPTIMAL else None
-    if w is None:
+    if not projected:
+        return [Fraction(0)] * sample.d  # no inequality: w = 0
+    # Farkas: M w <= -1 has no solution iff 0 is a convex combination of the
+    # rows c_j of M; otherwise phase 1's multipliers y = (v, s), s < 0, give w = v / s
+    result = solve_lp([c + (1,) for c in projected], [0] * g + [1])
+    if result.status != INFEASIBLE:
         return None
-    return [scale * _dot(w, coords) for coords in zip(*basis)] if basis else [Fraction(0)] * sample.d
+    *v, s = result.y  # g >= 1 here: with g = 0 the LP is feasible
+    return [Fraction(scale * _dot(v, coords), s) for coords in zip(*basis)]
 
 
 def face_certificate(sample: WalkSample, subset: Iterable[int]) -> Optional[List[Fraction]]:
     """Supporting functional for the candidate face, or None.
 
     When pos{S_i : i in A} is a face, returns an exact u in the span of the
-    sums with u.S_i = 0 for i in A and u.S_j <= -1 off A: for a gap
-    g = rank(S) - k <= 2 the vertex at which g of the inequalities are
-    tight, else the point the LP over g variables returns.  Callers can
-    re-verify the constraints in rational arithmetic.  None when the subset
-    is dependent (dimension condition fails) or no supporting hyperplane
-    exists.
+    sums with u.S_i = 0 for i in A and u.S_j <= -1 off A, read off the
+    multipliers of the infeasible Farkas LP.  Callers can re-verify the
+    constraints in rational arithmetic.  None when the subset is dependent
+    (dimension condition fails) or no supporting hyperplane exists.
     """
     a = sorted(set(subset))
     k = len(a)
@@ -265,27 +245,17 @@ def is_pointed(sample: WalkSample) -> bool:
 def classify_cone(sample: WalkSample) -> ConeClass:
     """Three-way classification: pointed / proper but not pointed / all of R^d.
 
-    The cone is all of R^d iff its dual {u : u.S_i <= 0} is {0}, decided by
-    maximizing each +-coordinate of u over the dual intersected with a box.
+    The cone is all of R^d iff every +-e_i is a nonnegative combination of
+    its generators: 2d feasibility LPs on the scaled sums.
     """
     if is_pointed(sample):
         return ConeClass.POINTED
-    box = []
-    rhs = []
-    for j in range(sample.d):
-        e = [Fraction(0)] * sample.d
-        e[j] = Fraction(1)
-        box.append(list(e)); rhs.append(Fraction(1))
-        box.append([-v for v in e]); rhs.append(Fraction(1))
-    a_ub = list(sample.sums) + box
-    b_ub = [Fraction(0)] * sample.n + rhs
-    for j in range(sample.d):
+    rows = sample._scaled[1]
+    for i in range(sample.d):
         for sign in (1, -1):
-            c = [0] * sample.d
-            c[j] = sign
-            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
-            assert res.status == OPTIMAL  # the box makes the dual bounded
-            if res.objective != 0:
+            target = [0] * sample.d
+            target[i] = sign
+            if solve_lp(rows, target).status == INFEASIBLE:
                 return ConeClass.PROPER_NOT_POINTED
     return ConeClass.FULL_SPACE
 
@@ -432,15 +402,15 @@ def is_unique_recovery(inst: RecoveryInstance) -> bool:
     the walk: pointedness when k = 0, and never a face when k = d < n.  The
     amplitudes do not enter.
     """
-    if _kernel_basis(inst.matrix, inst.n) is None:
-        raise DegenerateSample("measurement matrix is not of full row rank")
     d, n = inst.d, inst.n
-    if n == d:  # G is injective
-        return True
-    if n > _MAX_RECOVERY_N:
+    if n > _MAX_RECOVERY_N and n > d:
         raise CapacityExceeded(
             f"LP with {n - d} variables / {n} constraints exceeds the {_MAX_RECOVERY_N} design size"
         )
+    if _kernel_basis(inst.matrix, n) is None:
+        raise DegenerateSample("measurement matrix is not of full row rank")
+    if n == d:  # G is injective
+        return True
     columns = tuple(tuple(row[i] for row in inst.matrix) for i in range(n))
     return _support(_walk(d, columns), [i - 1 for i in inst.jump_positions]) is not None
 

@@ -10,6 +10,9 @@ way, so the tests can hold the two together:
 - the face-ratio complement 2 P[Lah(n,k)_{1/2} in {d+1, d+3, ...}] summed
   over the whole distribution, against :func:`rlah.cones.face_ratio`'s head
   sum over {d-1, d-3, ...};
+- E[f_k] by the alternating r-Stirling sum, against
+  :func:`rlah.cones.expected_face_count`, which is binom(n,k) times the head
+  sum;
 - the mod-Poisson residual through the exact pgf and through a binary64
   log-space PMF row, against the certified exact-head sum of
   :func:`rlah.asymptotics.mod_poisson_residual`.
@@ -28,10 +31,17 @@ import numpy as np
 
 from rlah.asymptotics import lambda_n
 from rlah.cones import ConeFaceQuery
-from rlah.distribution import AdmissibleTriple, LahDistribution, build_distribution, pgf_eval
+from rlah.distribution import (
+    AdmissibleTriple,
+    LahDistribution,
+    _cache_lock,
+    _prefix,
+    build_distribution,
+    pgf_eval,
+)
 from rlah.errors import CapacityExceeded, InvalidParameter
 from rlah.rational import RationalLike, as_rational
-from rlah.stirling import harmonic_diff
+from rlah.stirling import StirlingKind, effective_n_max, factorial, harmonic_diff, stirling_r
 
 DEFAULT_N_MAX_FLOAT = 20_000
 _PGF_METHOD_N_CAP = 512
@@ -80,6 +90,31 @@ def face_ratio_complement(q: ConeFaceQuery, *, n_max: int | None = None) -> Frac
         total += dist.pmf(j)
         j += 2
     return 2 * total
+
+
+def alternating_stirling_sum(n: int, d: int, k: int, *, n_max: int | None = None) -> Fraction:
+    """sum_{l>=0} c(n, d-2l-1)_{1/2} * S(d-2l-1, k)_{1/2}; finite by construction.
+
+    Only the first d columns of row n enter, so they are read from the
+    scaled first-kind prefix of (n, 1/2) that the PMF heads share,
+    c(n, j)_{1/2} = b[j] / 2^(n-j).
+    """
+    cap = effective_n_max(n_max)
+    if n > cap:
+        raise CapacityExceeded(f"n={n} exceeds n_max={cap}")
+    if d - 1 < k:
+        return Fraction(0)  # no term; d = 0 would ask for an empty prefix
+    with _cache_lock:
+        b = _prefix(n, _HALF, d - 1)
+    total = Fraction(0)
+    for j in range(d - 1, k - 1, -2):
+        total += Fraction(b[j], 2 ** (n - j)) * stirling_r(StirlingKind.SECOND, j, k, _HALF, n_max=n_max)
+    return total
+
+
+def expected_face_count_alt(q: ConeFaceQuery, *, n_max: int | None = None) -> Fraction:
+    """E[f_k] = (2 k!/n!) * the alternating Stirling sum."""
+    return 2 * factorial(q.k) * alternating_stirling_sum(q.n, q.d, q.k, n_max=n_max) / factorial(q.n)
 
 
 # -- binary64 log-space PMF row -------------------------------------------------------

@@ -1,20 +1,35 @@
 """Independent LP oracle: the dense two-phase simplex on a tableau of Fractions.
 
-This is the rational tableau that :func:`rlah.simplex.solve_lp` keeps in
-integers over one common denominator.  Both take the same steps (free
-variables split into positive parts, negative right-hand sides negated,
-phase 1 with artificials, Bland's rule), so on every LP they must return
-the same status, objective and point; the tests hold the integer tableau to
-that.  Every pivot here divides Fractions, so it is slow, and it is not
-used outside the tests.
+This is the only general LP in the project: it maximizes c.x over free x
+subject to inequality and equality rows with exact rational entries,
+splitting free variables into positive parts, negating negative
+right-hand sides, running phase 1 with artificials and then phase 2, all
+under Bland's rule, and it reports optimal, infeasible or unbounded.
+:func:`rlah.simplex.solve_lp` asks only the phase-1 question (is b a
+nonnegative combination of integer columns?) on an integer tableau; the
+tests pose that question here as {x >= 0, A x = b} and hold the two
+verdicts together, and the face and recovery oracles of the tests run
+their LPs here.  Every pivot divides Fractions, so it is slow, and it is
+not used outside the tests.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
-from rlah.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
+OPTIMAL = "optimal"
+UNBOUNDED = "unbounded"
+INFEASIBLE = "infeasible"
+
+
+@dataclass
+class LPResult:
+    status: str
+    objective: Optional[Fraction]
+    x: Optional[List[Fraction]]
+
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

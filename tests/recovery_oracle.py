@@ -7,9 +7,9 @@ monotone chamber in x + ker(G) iff the kernel polytope
 K = {w : x + N w is nonincreasing and nonnegative}, N an integer kernel
 basis, is {0}.  K contains 0 always, and equals {0} iff each kernel
 coordinate has maximum and minimum 0 over K (unboundedness counting as
-failure), so it takes 2 dim(ker G) exact LPs over n rows.  Those LPs take
-seconds to minutes at n from 25 up to the simplex's 64-row size, so this
-route is used only by the tests, on small instances.
+failure), so it takes 2 dim(ker G) exact LPs over n rows, run on the
+Fraction tableau of ``lp_oracle``.  Those LPs take seconds to minutes at
+n from 25 up, so this route is used only by the tests, on small instances.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import List, Tuple
 
 from rlah.errors import DegenerateSample
 from rlah.montecarlo import RecoveryInstance, _kernel_basis
-from rlah.simplex import OPTIMAL, UNBOUNDED, solve_lp
+
+from lp_oracle import OPTIMAL, UNBOUNDED, solve_lp_rational
 
 
 def signal(inst: RecoveryInstance) -> Tuple[Fraction, ...]:
@@ -60,7 +61,7 @@ def is_unique_recovery_lp(inst: RecoveryInstance) -> bool:
         for sign in (1, -1):
             c = [0] * m
             c[l] = sign
-            result = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+            result = solve_lp_rational(c, a_ub=a_ub, b_ub=b_ub)
             if result.status == UNBOUNDED:
                 return False
             assert result.status == OPTIMAL  # w = 0 is always feasible

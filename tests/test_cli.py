@@ -161,6 +161,19 @@ def test_mc_recovery_below_the_size_cap_is_fast(capsys, argv, mean):
     assert json.loads(out)["mean"] == mean
 
 
+def test_mc_recovery_past_the_cap_is_refused_at_once(capsys):
+    # the refusal comes before the rank check, whose kernel basis of n - d
+    # vectors of length n took 1 s and 100 MB here
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "mc-recovery", "--d", "1", "--n", "3000", "--k", "0", "--trials", "1")
+    assert time.perf_counter() - start < 0.3
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "LP with 2999 variables / 3000 constraints exceeds the 64 design size",
+        "kind": "CapacityExceeded",
+    }
+
+
 def test_asymptotics_csv(capsys):
     code, out = run_cli(
         capsys, "asymptotics", "--n", "100", "--k", "1", "--r", "1/2", "--z", "0.3", "--x", "2.0"
@@ -304,10 +317,10 @@ def _span(lo, hi):
     return st.builds(lambda a, w: f"{a}:{a + w}", st.integers(lo, hi), st.integers(0, 4))
 
 
-# Monte Carlo arguments stay small.  mc-cone runs a face test for each of
-# binom(n, k) subsets per trial, and a test with gap >= 3 is an exact LP, so
-# mc-cone at d = 8, n = 12, k = 4 with 3 trials takes seconds; its n stays at
-# 10 or less, or past the LP size cap of 64, where it exits 3 at once.
+# Monte Carlo arguments stay small.  mc-cone runs a face test, one exact LP,
+# for each of binom(n, k) subsets per trial, so mc-cone at d = 8, n = 12,
+# k = 4 with 3 trials takes seconds; its n stays at 10 or less, or past the
+# walk cap of 24, where it exits 3 at once.
 # mc-recovery runs one face test per trial, under 1 s for 3 trials at n = 64
 # and d <= 4, so it takes every n up to 300.  --trials is never left out (its
 # default is 1000) nor made huge: a run takes every trial it is asked for.

@@ -1,8 +1,9 @@
 """Cone face counts, thresholds, and recovery probabilities.
 
-The two representations of the face ratio (the k!/n! alternating Stirling
-sum versus parity sums of the Lah(n,k)_{1/2} PMF) act as mutual oracles, and
-the parity identity ties ratio and complement together exactly.
+The two representations of the face ratio act as mutual oracles: rlah
+computes it as a parity sum over the Lah(n,k)_{1/2} PMF head, and
+``law_oracle`` holds the k!/n! alternating Stirling sum.  The parity
+identity ties ratio and complement together exactly.
 """
 
 import math
@@ -21,7 +22,7 @@ from rlah.cones import (
 from rlah.errors import CapacityExceeded, InvalidParameter
 from rlah.stirling import StirlingKind, lah_r, stirling_r
 
-from law_oracle import face_ratio_complement
+from law_oracle import alternating_stirling_sum, expected_face_count_alt, face_ratio_complement
 
 HALF = F(1, 2)
 
@@ -38,6 +39,8 @@ class TestQueryValidation:
     def test_capacity(self):
         with pytest.raises(CapacityExceeded):
             expected_face_count(ConeFaceQuery(2, 50, 1), n_max=10)
+        with pytest.raises(CapacityExceeded):
+            expected_face_count_alt(ConeFaceQuery(2, 50, 1), n_max=10)
 
 
 class TestExpectedFaceCount:
@@ -67,12 +70,12 @@ class TestExpectedFaceCount:
             for n in range(d, 17):
                 for k in range(0, d):
                     q = ConeFaceQuery(d, n, k)
-                    assert expected_face_count(q) == math.comb(n, k) * face_ratio(q)
+                    assert expected_face_count_alt(q) == expected_face_count(q) == math.comb(n, k) * face_ratio(q)
 
     def test_large_n_prefix_path_consistent(self):
         # same value through the alternating Stirling sum and the PMF head
-        q = ConeFaceQuery(3, 200, 1)
-        assert expected_face_count(q) == math.comb(200, 1) * face_ratio(q)
+        for q in (ConeFaceQuery(3, 200, 1), ConeFaceQuery(10, 500, 2)):
+            assert expected_face_count_alt(q) == expected_face_count(q)
 
 
 class TestFaceRatio:
@@ -205,6 +208,8 @@ class TestRecoveryProbability:
 
     def test_boundary_k_equals_d(self):
         # the verbatim summation has no surviving terms at k = d
+        for d, n in ((2, 8), (3, 6), (0, 5), (0, 200)):
+            assert alternating_stirling_sum(n, d, d) == 0
         assert recovery_probability(2, 8, 2) == 0
         assert recovery_probability(3, 6, 3) == 0
         assert recovery_probability(0, 5, 0) == recovery_probability(0, 200, 0) == 0  # no prefix column at d = 0

@@ -1,8 +1,8 @@
 """Monte Carlo verifier tests.
 
 Hand-built cones with known face lattices pin down the face
-characterization, and an LP route on the original Fraction sums is the
-oracle for the vertex and reduced-LP face tests.  Recovery uniqueness, a face
+characterization, and a general LP on the original Fraction sums (the
+Fraction tableau of ``lp_oracle``) is the oracle for the Farkas face test.  Recovery uniqueness, a face
 test on the walk of the matrix's column sums, is held to the kernel-polytope
 LPs of ``recovery_oracle``.  Seeded estimator runs are checked against the
 exact closed forms from the cones module (the runs are deterministic, so
@@ -14,6 +14,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from lp_oracle import OPTIMAL, solve_lp_rational
 from recovery_oracle import is_unique_recovery_lp, signal
 
 from rlah.cones import ConeFaceQuery, expected_face_count, recovery_probability
@@ -33,7 +34,6 @@ from rlah.montecarlo import (
     is_unique_recovery,
     make_recovery_instance,
 )
-from rlah.simplex import OPTIMAL, solve_lp
 
 
 def make_sample(d, vectors):
@@ -107,7 +107,7 @@ def lp_supported(sample, subset):
     if fraction_rank(chosen) < len(chosen):
         return False
     rest = [sample.sums[j] for j in range(sample.n) if j not in subset]
-    result = solve_lp(
+    result = solve_lp_rational(
         [0] * sample.d, a_ub=rest, b_ub=[-1] * len(rest), a_eq=chosen, b_eq=[0] * len(chosen)
     )
     return result.status == OPTIMAL
@@ -129,9 +129,11 @@ HAND_BUILT = [
     (2, [(1, 1), (2, 2)]),
     (3, [(1, 2, 0), (2, 4, 0), (F(1, 3), 0, 0), (0, 0, 0)]),
 ]
-# the criterion-09 grid, the mc-cone benchmark points, and walks with n < d
+# the criterion-09 grid, the mc-cone benchmark points, walks with n < d, and
+# pointedness at gaps g = 4, 6 and 8
 EQUIVALENCE_GRID = [(2, 2, 1), (2, 4, 1), (3, 4, 1), (3, 4, 2), (3, 6, 2), (3, 6, 0), (4, 6, 1),
-                    (4, 6, 2), (3, 2, 1), (3, 2, 2), (4, 3, 2), (4, 3, 1)]
+                    (4, 6, 2), (3, 2, 1), (3, 2, 2), (4, 3, 2), (4, 3, 1), (4, 10, 0), (6, 12, 0),
+                    (8, 12, 0)]
 
 
 class TestLPEquivalence:

@@ -1,203 +1,187 @@
-"""Exact simplex tests, cross-validated against scipy's HiGHS solver and
-against the Fraction-tableau oracle in ``lp_oracle``."""
+"""Exact phase-1 simplex tests.
+
+Every verdict of :func:`rlah.simplex.solve_lp` carries its own proof, a
+point x >= 0 with sum_j x_j columns_j = b or a Farkas y with
+y.columns_j >= 0 and y.b < 0, and each test re-checks it exactly.  The
+verdicts are cross-validated against the Fraction-tableau oracle in
+``lp_oracle`` (posed as {x >= 0, A x = b}) and against scipy's HiGHS
+solver.
+"""
 
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-import recovery_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lp_oracle import solve_lp_rational
+from lp_oracle import OPTIMAL, solve_lp_rational
 from scipy.optimize import linprog
 
 from rlah import montecarlo
 from rlah.errors import CapacityExceeded, DegenerateSample
-from rlah.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from rlah.simplex import FEASIBLE, INFEASIBLE, solve_lp
 
 
-def test_simple_box():
-    res = solve_lp([1, 1], a_ub=[[1, 0], [0, 1]], b_ub=[2, 3])
-    assert res.status == OPTIMAL
-    assert res.objective == 5
-    assert res.x == [2, 3]
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
-def test_unbounded():
-    res = solve_lp([1], a_ub=[[-1]], b_ub=[0])
-    assert res.status == UNBOUNDED
+def checked(columns, b):
+    """solve_lp's result, after re-checking its point or certificate exactly."""
+    res = solve_lp(columns, b)
+    if res.status == FEASIBLE:
+        assert res.y is None and len(res.x) == len(columns)
+        assert all(v >= 0 for v in res.x)
+        assert [sum((xj * col[i] for xj, col in zip(res.x, columns)), F(0)) for i in range(len(b))] == list(b)
+    else:
+        assert res.status == INFEASIBLE and res.x is None
+        assert all(isinstance(v, int) for v in res.y) and len(res.y) == len(b)
+        assert all(_dot(res.y, col) >= 0 for col in columns)
+        assert _dot(res.y, b) < 0
+    return res
+
+
+def rational_verdict(columns, b):
+    """The oracle's status on {x >= 0, A x = b}: OPTIMAL (c = 0) or INFEASIBLE."""
+    nv = len(columns)
+    nonneg = [[-int(i == j) for j in range(nv)] for i in range(nv)]
+    rows = [[col[i] for col in columns] for i in range(len(b))]
+    return solve_lp_rational([0] * nv, a_ub=nonneg, b_ub=[0] * nv, a_eq=rows, b_eq=list(b)).status
 
 
 def test_infeasible():
-    res = solve_lp([0, 0], a_ub=[[1, 0], [-1, 0]], b_ub=[-1, -1])
+    res = checked([[1, 0], [0, 1]], [1, -1])
     assert res.status == INFEASIBLE
 
 
-def test_equality_constraints():
-    # max x + 2y  s.t.  x + y = 3, y <= 2
-    res = solve_lp([1, 2], a_ub=[[0, 1]], b_ub=[2], a_eq=[[1, 1]], b_eq=[3])
-    assert res.status == OPTIMAL
-    assert res.objective == 5
-    assert res.x == [1, 2]
-
-
 def test_negative_rhs_normalization():
-    # free x with x <= -1 and -x <= 3: feasible segment [-3, -1]
-    res = solve_lp([1], a_ub=[[1], [-1]], b_ub=[-1, 3])
-    assert res.status == OPTIMAL
-    assert res.objective == -1
+    # rows with b_i < 0 are negated inside; x and y stay in the caller's signs
+    res = checked([[-1, -2]], [-2, -4])
+    assert res.status == FEASIBLE and res.x == [2]
+    res = checked([[1]], [-1])
+    assert res.status == INFEASIBLE and res.y[0] > 0
 
 
-def test_exact_fraction_arithmetic():
-    res = solve_lp([F(1, 3)], a_ub=[[F(2, 7)]], b_ub=[F(3, 5)])
-    assert res.status == OPTIMAL
-    assert res.objective == F(1, 3) * F(21, 10)
+def test_degenerate_equalities_with_redundancy():
+    # duplicated rows leave an artificial basic at level 0
+    res = checked([[1, 1, 1], [-1, -1, 1]], [0, 0, 4])
+    assert res.status == FEASIBLE and res.x == [2, 2]
+
+
+def test_empty_systems():
+    assert checked([], []).status == FEASIBLE
+    assert checked([[1, 2]], [0, 0]).x == [0]
+    res = checked([], [3, -1])
+    assert res.status == INFEASIBLE
+
+
+def test_farkas_face_shape():
+    # rows c_j = (1,), (-1,), appended with 1: 0 = (c_1 + c_2) / 2 is a convex
+    # combination, so {w : c_j.w <= -1} is empty
+    assert checked([[1, 1], [-1, 1]], [0, 1]).status == FEASIBLE
+    # rows (1,), (2,): w = -1 works, and the multipliers y = (v, s) give it as v / s
+    res = checked([[1, 1], [2, 1]], [0, 1])
+    v, s = res.y
+    assert res.status == INFEASIBLE and s < 0
+    assert all(F(c * v, s) <= -1 for c in (1, 2))
 
 
 def test_capacity_guard():
     with pytest.raises(CapacityExceeded):
-        solve_lp([0] * 65)
-
-
-def test_degenerate_equalities_with_redundancy():
-    # duplicated equality rows leave an artificial stuck in a redundant row
-    res = solve_lp([1, 1], a_ub=[[1, 1]], b_ub=[4], a_eq=[[1, -1], [1, -1]], b_eq=[0, 0])
-    assert res.status == OPTIMAL
-    assert res.objective == 4
+        solve_lp([[0]] * 65, [0])
+    with pytest.raises(CapacityExceeded):
+        solve_lp([[0] * 65], [0] * 65)
 
 
 def test_against_scipy_on_random_instances():
     rng = np.random.default_rng(7)
-    for trial in range(40):
-        nv = int(rng.integers(2, 5))
+    seen = set()
+    for trial in range(80):
+        nv = int(rng.integers(1, 6))
         m = int(rng.integers(1, 5))
-        c = rng.integers(-4, 5, nv).tolist()
-        a = rng.integers(-4, 5, (m, nv)).tolist()
-        b = rng.integers(-3, 8, m).tolist()
-        mine = solve_lp(c, a_ub=a, b_ub=b)
-        ref = linprog(
-            [-v for v in c], A_ub=a, b_ub=b, bounds=[(None, None)] * nv, method="highs"
-        )
-        if mine.status == OPTIMAL:
-            assert ref.status == 0, trial
-            assert abs(float(mine.objective) + ref.fun) < 1e-8, trial
-            # the certificate itself must satisfy every constraint exactly
-            for row, bound in zip(a, b):
-                assert sum(F(ai) * xi for ai, xi in zip(row, mine.x)) <= bound
-        elif mine.status == UNBOUNDED:
-            assert ref.status == 3, trial
-        else:
-            assert ref.status == 2, trial
+        a = rng.integers(-4, 5, (m, nv))
+        b = rng.integers(-3, 8, m)
+        mine = checked(a.T.tolist(), b.tolist())
+        ref = linprog(np.zeros(nv), A_eq=a, b_eq=b, bounds=[(0, None)] * nv, method="highs")
+        assert ref.status == (0 if mine.status == FEASIBLE else 2), trial
+        seen.add(mine.status)
+    assert seen == {FEASIBLE, INFEASIBLE}
 
 
 # -- the integer tableau against the Fraction-tableau oracle --------------------
 
-RATIONALS = st.one_of(
-    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=12)
-)
-
-
 @st.composite
-def lps(draw):
-    """(kind, c, a_ub, b_ub, a_eq, b_eq) over small exact rationals.
+def systems(draw):
+    """(columns, b) over small integers.
 
-    "random" rows have any signs, so negative right-hand sides and phase 1
-    are common; "redundant" adds nonzero multiples of equality rows, which
-    leave artificials at level 0 to be pivoted out, on negative entries too;
-    "infeasible" adds a contradicting pair of rows; "unbounded" keeps x = 0
-    feasible while no row constrains the one variable that c rewards.
+    "random" rows have any signs, so negative right-hand sides are common;
+    "zero" has b = 0, where x = 0 is feasible from the start; "duplicated"
+    appends nonzero multiples of rows, which leave artificials at level 0;
+    "farkas" has the face test's shape, rows (c_j, 1) against (0, ..., 0, 1).
     """
-    kind = draw(st.sampled_from(["random", "redundant", "infeasible", "unbounded"]))
-    nv = draw(st.integers(1, 4))
-    vec = st.lists(RATIONALS, min_size=nv, max_size=nv)
-    c = draw(vec)
-    a_ub = draw(st.lists(vec, max_size=4))
-    b_ub = draw(st.lists(RATIONALS, min_size=len(a_ub), max_size=len(a_ub)))
-    a_eq = draw(st.lists(vec, max_size=3))
-    b_eq = draw(st.lists(RATIONALS, min_size=len(a_eq), max_size=len(a_eq)))
-    if kind == "redundant" and a_eq:
-        for i in draw(st.lists(st.integers(0, len(a_eq) - 1), min_size=1, max_size=3)):
-            t = draw(RATIONALS.filter(bool))
-            a_eq.append([t * v for v in a_eq[i]])
-            b_eq.append(t * b_eq[i])
-    elif kind == "infeasible":
-        row, bound = draw(vec), draw(RATIONALS)
-        a_ub += [row, [-v for v in row]]
-        b_ub += [bound, -bound - draw(st.fractions(min_value=F(1, 12), max_value=3))]
-    elif kind == "unbounded":
-        c = [0] * nv
-        c[draw(st.integers(0, nv - 1))] = draw(RATIONALS.filter(bool))
-        free = c.index(next(v for v in c if v))
-        for row in a_ub + a_eq:
-            row[free] = 0
-        b_ub = [abs(v) for v in b_ub]
-        b_eq = [0] * len(a_eq)
-    return kind, c, a_ub, b_ub, a_eq, b_eq
+    kind = draw(st.sampled_from(["random", "zero", "duplicated", "farkas"]))
+    nv = draw(st.integers(0, 5))
+    m = draw(st.integers(0 if kind != "farkas" else 1, 4))
+    entry = st.integers(-4, 4)
+    columns = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(nv)]
+    b = draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+    if kind == "zero":
+        b = [0] * m
+    elif kind == "duplicated" and m:
+        for i in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3)):
+            t = draw(entry.filter(bool))
+            for col in columns:
+                col.append(t * col[i])
+            b.append(t * b[i])
+    elif kind == "farkas":
+        for col in columns:
+            col[-1] = 1
+        b = [0] * (m - 1) + [1]
+    return columns, b
 
 
-@settings(max_examples=250, deadline=None)
-@given(lps())
-def test_integer_tableau_matches_fraction_oracle(lp):
-    kind, *args = lp
-    mine = solve_lp(*args)
-    assert mine == solve_lp_rational(*args)
-    if kind == "infeasible":
-        assert mine.status == INFEASIBLE
-    elif kind == "unbounded":
-        assert mine.status == UNBOUNDED
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_integer_tableau_matches_fraction_oracle(system):
+    columns, b = system
+    mine = checked(columns, b)
+    assert (mine.status == FEASIBLE) == (rational_verdict(columns, b) == OPTIMAL)
 
 
-def test_degenerate_negative_pivot_out_matches_oracle():
-    # both artificials stay at level 0 after phase 1; the first is pivoted
-    # out on the entry -1, so the integer tableau is negated once
-    args = ([1, 1], [[1, 1]], [4], [[-1, 1], [1, -1]], [0, 0])
-    res = solve_lp(*args)
-    assert res == solve_lp_rational(*args)
-    assert res.status == OPTIMAL and res.objective == 4 and res.x == [2, 2]
-
-
-# the criterion-09 and mc-cone points, one walk with n < d, and the
-# criterion-10 and mc-recovery points; on the recovery points every face test
-# is a vertex test, so their LPs come from the kernel-polytope oracle
+# the criterion-09 and mc-cone points, one walk with n < d, pointedness at a
+# wider gap, and the criterion-10 and mc-recovery points
 CONE_GRID = [(2, 2, 1), (2, 4, 1), (3, 4, 1), (3, 4, 2), (3, 6, 2), (3, 6, 0), (4, 6, 1), (4, 6, 2),
-             (4, 3, 1)]
+             (4, 3, 1), (6, 12, 0)]
 RECOVERY_GRID = [(2, 3, 1), (2, 6, 1), (3, 6, 2), (4, 8, 2)]
 
 
 def test_monte_carlo_lps_match_fraction_oracle(monkeypatch):
-    """Every LP the seeded cone Monte Carlo and the recovery oracle solve,
-    and the full face LPs on the Fraction sums, give the oracle's result."""
+    """Every LP the seeded face tests, cone classifications and recovery
+    trials solve gets the oracle's verdict, and its proof re-checks."""
     lps_seen = []
 
-    def recording(*args, **kwargs):
-        lps_seen.append((args, kwargs))
-        return solve_lp(*args, **kwargs)
+    def recording(columns, b):
+        lps_seen.append((columns, b))
+        return solve_lp(columns, b)
 
     monkeypatch.setattr(montecarlo, "solve_lp", recording)
-    monkeypatch.setattr(recovery_oracle, "solve_lp", recording)
     for d, n, k in CONE_GRID:
         for seed in range(5):
             sample = montecarlo.generate_walk(d, n, np.random.default_rng((2024, d, n, seed)))
             montecarlo.count_faces(sample, k)
             montecarlo.classify_cone(sample)
-            for subset in ([], [0], [n - 1]) if k else ([],):
-                chosen = [sample.sums[i] for i in subset]
-                rest = [sample.sums[j] for j in range(n) if j not in subset]
-                lps_seen.append(
-                    (([0] * d,), dict(a_ub=rest, b_ub=[-1] * len(rest), a_eq=chosen, b_eq=[0] * len(chosen)))
-                )
     for d, n, k in RECOVERY_GRID:
         for rule in ("ones", "uniform"):
             for trial in range(6):
                 inst = montecarlo.make_recovery_instance(d, n, k, np.random.default_rng((123, trial)), rule)
                 try:
-                    recovery_oracle.is_unique_recovery_lp(inst)
+                    montecarlo.is_unique_recovery(inst)
                 except DegenerateSample:
                     continue
     statuses = set()
-    for args, kwargs in lps_seen:
-        mine = solve_lp(*args, **kwargs)
-        assert mine == solve_lp_rational(*args, **kwargs), (args, kwargs)
+    for columns, b in lps_seen:
+        mine = checked(columns, b)
+        assert (mine.status == FEASIBLE) == (rational_verdict(columns, b) == OPTIMAL), (columns, b)
         statuses.add(mine.status)
     assert len(lps_seen) >= 300
-    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert statuses == {FEASIBLE, INFEASIBLE}
