@@ -16,6 +16,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -89,6 +90,7 @@ class _Parser(argparse.ArgumentParser):
         return parsed, extras
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rlah", description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write output to this file instead of stdout")

@@ -1,13 +1,13 @@
 """Monte Carlo ground truth for the cone and recovery formulas.
 
 Walk increments and measurement matrices are drawn as binary64 Gaussians and
-promoted to exact dyadic rationals; every geometric decision after that point
-is exact.  A walk's partial sums are scaled once, by the common denominator
-of their entries (a power of two), to integer rows S', and one fraction-free
-elimination routine in the style of Bareiss serves the rank checks and the
-kernel bases on those integers.  There are no tolerances to tune, and
-genericity violations are detectable as exact rank deficiencies, which are
-rejected, redrawn and counted.
+read as integers at one power-of-two scale; every geometric decision after
+that point is exact.  A walk keeps its partial sums as integer rows S' = L S,
+L the smallest such scale, and one fraction-free elimination routine in the
+style of Bareiss serves the rank checks and the kernel bases on those
+integers.  There are no tolerances to tune, and genericity violations are
+detectable as exact rank deficiencies, which are rejected, redrawn and
+counted.
 
 A subset A of generators spans a k-face of the cone iff it is independent
 and some functional u vanishes on A while being strictly negative on the
@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -57,7 +57,6 @@ _MAX_REDRAWS = 16
 # cap means lifting that guard with it.
 _MAX_RECOVERY_N = 64
 
-Vector = Tuple[Fraction, ...]
 IntRow = Tuple[int, ...]
 
 
@@ -112,10 +111,12 @@ def _rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> Tuple[int, List[IntRow]]:
-    """Scale rational rows by the common denominator L of their entries."""
-    scale = math.lcm(*(v.denominator for row in rows for v in row))
-    return scale, [tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows]
+def _dyadic(draws: np.ndarray) -> Tuple[int, Tuple[IntRow, ...]]:
+    """(L, X) with draws = X / L exactly: L the largest denominator of the
+    binary64 entries (a power of two), X integers."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in draws.tolist()]
+    scale = max((q for row in ratios for _, q in row), default=1)
+    return scale, tuple(tuple(p * (scale // q) for p, q in row) for row in ratios)
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -130,37 +131,39 @@ class ConeClass(enum.Enum):
 
 @dataclass(frozen=True)
 class WalkSample:
-    """An n-step walk in R^d: dyadic-rational increments and partial sums."""
+    """An n-step walk in R^d: partial sums S_i kept as integer rows scale * S_i."""
 
     d: int
     n: int
-    increments: Tuple[Vector, ...]
-    sums: Tuple[Vector, ...]
+    scale: int
+    rows: Tuple[IntRow, ...]
     redraws: int = 0
 
     @cached_property
-    def _scaled(self) -> Tuple[int, List[IntRow]]:
-        """(L, S') with S' = L * sums in integers, L the common denominator."""
-        return _integer_rows(self.sums)
+    def sums(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """The partial sums S_i as exact rationals."""
+        return tuple(tuple(Fraction(v, self.scale) for v in row) for row in self.rows)
 
     @cached_property
     def _kernel(self) -> List[IntRow]:
         """Integer basis of {x : S x = 0}, the complement of the sums' span."""
-        return _null_space(self._scaled[1], self.d)[1]
+        return _null_space(self.rows, self.d)[1]
 
 
-def _walk(d: int, increments: Tuple[Vector, ...], redraws: int = 0) -> WalkSample:
-    """The walk in R^d with these increments: S_i is the sum of the first i."""
-    sums: List[Vector] = []
-    acc = [Fraction(0)] * d
-    for inc in increments:
-        acc = [a + b for a, b in zip(acc, inc)]
-        sums.append(tuple(acc))
-    return WalkSample(d, len(increments), increments, tuple(sums), redraws)
+def _walk(d: int, scale: int, steps: Sequence[IntRow], redraws: int = 0) -> WalkSample:
+    """The walk in R^d with increments steps / scale: S_i is the sum of the
+    first i.  A scale from :func:`_dyadic` is already the smallest with
+    integer sums: some step has an odd entry over it, hence so does some S_i."""
+    rows: List[IntRow] = []
+    acc = (0,) * d
+    for step in steps:
+        acc = tuple(a + b for a, b in zip(acc, step))
+        rows.append(acc)
+    return WalkSample(d, len(rows), scale, tuple(rows), redraws)
 
 
 def generate_walk(d: int, n: int, rng: np.random.Generator) -> WalkSample:
-    """Draw Gaussian increments, promote to exact dyadics, form partial sums.
+    """Draw Gaussian increments, read them as scaled integers, form partial sums.
 
     Samples whose partial-sum matrix is rank deficient (an exact-rational
     event of essentially zero probability) are redrawn and counted.
@@ -175,9 +178,8 @@ def generate_walk(d: int, n: int, rng: np.random.Generator) -> WalkSample:
             steps = rng.standard_normal((n, d))
         except (ValueError, MemoryError):  # numpy refuses an array of this size
             raise CapacityExceeded(f"a walk of n={n} steps in d={d} dimensions cannot be allocated") from None
-        increments = tuple(tuple(Fraction(float(v)) for v in row) for row in steps)
-        sample = _walk(d, increments, redraws)
-        if _rank(sample._scaled[1]) == min(n, d):
+        sample = _walk(d, *_dyadic(steps), redraws)
+        if _rank(sample.rows) == min(n, d):
             return sample
         redraws += 1
         if redraws > _MAX_REDRAWS:
@@ -191,7 +193,7 @@ def _support(sample: WalkSample, subset: Sequence[int]) -> Optional[List[Fractio
     coordinates of u = L N w, N an integer basis of span(subset)^perp
     within the span of the sums.
     """
-    scale, rows = sample._scaled
+    scale, rows = sample.scale, sample.rows
     kernel = sample._kernel
     rank, basis = _null_space([rows[i] for i in subset] + kernel, sample.d)
     if rank < len(subset) + len(kernel):
@@ -250,7 +252,7 @@ def classify_cone(sample: WalkSample) -> ConeClass:
     """
     if is_pointed(sample):
         return ConeClass.POINTED
-    rows = sample._scaled[1]
+    rows = sample.rows
     for i in range(sample.d):
         for sign in (1, -1):
             target = [0] * sample.d
@@ -293,23 +295,17 @@ class MCEstimate:
     rejects: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "k": self.k,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "rejects": self.rejects,
-        }
+        return asdict(self)  # the field order is the record's key order
 
 
-def _check_run(trials: int, seed: int) -> None:
+def _check_run(trials: int, seed: int, face_tests: int) -> None:
+    """Refuse a bad run, or one of more than the cap's face tests, before any draw."""
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
     if seed < 0:  # numpy seeds are non-negative
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    if trials * face_tests > _ENUMERATION_CAP:
+        raise CapacityExceeded(f"{trials} trials of {face_tests} face tests each exceed the cap {_ENUMERATION_CAP}")
 
 
 def estimate_expected_faces(d: int, n: int, k: int, trials: int, seed: int) -> MCEstimate:
@@ -318,7 +314,8 @@ def estimate_expected_faces(d: int, n: int, k: int, trials: int, seed: int) -> M
     Per-trial generators are derived from (seed, trial_index), so the result
     is independent of execution order and trivially parallelizable.
     """
-    _check_run(trials, seed)
+    # a walk longer than the cap is refused at its first draw, before binom(n, k) matters
+    _check_run(trials, seed, math.comb(n, k) if 0 <= k <= n <= _MAX_WALK_N else 1)
     total = 0
     total_sq = 0
     rejects = 0
@@ -338,10 +335,10 @@ def estimate_expected_faces(d: int, n: int, k: int, trials: int, seed: int) -> M
 
 @dataclass(frozen=True)
 class RecoveryInstance:
-    """A k-jump monotone signal and a Gaussian measurement matrix.
+    """A k-jump monotone signal and a Gaussian measurement matrix G.
 
     The signal is x_m = sum_l a_l [i_l >= m]: nonincreasing, nonnegative,
-    with jumps exactly at the chosen positions.
+    with jumps exactly at the chosen positions.  G = matrix / scale.
     """
 
     d: int
@@ -349,13 +346,14 @@ class RecoveryInstance:
     k: int
     jump_positions: Tuple[int, ...]  # 1-based, strictly increasing
     amplitudes: Tuple[Fraction, ...]
-    matrix: Tuple[Vector, ...]  # d rows of n dyadic rationals
+    scale: int
+    matrix: Tuple[IntRow, ...]  # d rows of n integers
 
     def with_amplitudes(self, amplitudes: Sequence[Fraction]) -> "RecoveryInstance":
         if len(amplitudes) != self.k or any(a <= 0 for a in amplitudes):
             raise InvalidParameter("need exactly k positive amplitudes")
         return RecoveryInstance(
-            self.d, self.n, self.k, self.jump_positions, tuple(amplitudes), self.matrix
+            self.d, self.n, self.k, self.jump_positions, tuple(amplitudes), self.scale, self.matrix
         )
 
 
@@ -367,7 +365,7 @@ def make_recovery_instance(
     amplitude_rule: str = "ones",
 ) -> RecoveryInstance:
     """Uniform jump positions, amplitudes by rule ("ones" or "uniform"),
-    Gaussian measurement matrix promoted to dyadic rationals."""
+    Gaussian measurement matrix read as integers at one power-of-two scale."""
     if not 0 <= k <= d <= n:
         raise InvalidParameter(f"need 0 <= k <= d <= n, got k={k}, d={d}, n={n}")
     if amplitude_rule not in ("ones", "uniform"):
@@ -381,13 +379,13 @@ def make_recovery_instance(
         draws = rng.standard_normal((d, n))
     except (OverflowError, ValueError, MemoryError):  # numpy refuses an n or a matrix of this size
         raise CapacityExceeded(f"a {d} x {n} measurement matrix cannot be allocated") from None
-    matrix = tuple(tuple(Fraction(float(v)) for v in row) for row in draws)
-    return RecoveryInstance(d, n, k, positions, amplitudes, matrix)
+    return RecoveryInstance(d, n, k, positions, amplitudes, *_dyadic(draws))
 
 
-def _kernel_basis(matrix: Sequence[Vector], n: int) -> Optional[List[IntRow]]:
-    """Integer basis of ker(G) for a d x n matrix of full row rank; None if deficient."""
-    rank, basis = _null_space(_integer_rows(matrix)[1], n)
+# unused here, but tests/recovery_oracle.py calls it and rlahbench/tracing.py wraps it
+def _kernel_basis(matrix: Sequence[IntRow], n: int) -> Optional[List[IntRow]]:
+    """Integer basis of ker(G) for a d x n integer matrix of full row rank; None if deficient."""
+    rank, basis = _null_space(matrix, n)
     return basis if rank == len(matrix) else None
 
 
@@ -407,12 +405,12 @@ def is_unique_recovery(inst: RecoveryInstance) -> bool:
         raise CapacityExceeded(
             f"LP with {n - d} variables / {n} constraints exceeds the {_MAX_RECOVERY_N} design size"
         )
-    if _kernel_basis(inst.matrix, n) is None:
+    if _rank(inst.matrix) < d:
         raise DegenerateSample("measurement matrix is not of full row rank")
     if n == d:  # G is injective
         return True
-    columns = tuple(tuple(row[i] for row in inst.matrix) for i in range(n))
-    return _support(_walk(d, columns), [i - 1 for i in inst.jump_positions]) is not None
+    columns = [tuple(row[i] for row in inst.matrix) for i in range(n)]
+    return _support(_walk(d, inst.scale, columns), [i - 1 for i in inst.jump_positions]) is not None
 
 
 def estimate_recovery_probability(
@@ -430,7 +428,7 @@ def estimate_recovery_probability(
     sequence ("uniform" draws k uniforms between the positions and the
     matrix).
     """
-    _check_run(trials, seed)
+    _check_run(trials, seed, 1)
     successes = 0
     rejects = 0
     for t in range(trials):

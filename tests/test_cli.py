@@ -174,6 +174,22 @@ def test_mc_recovery_past_the_cap_is_refused_at_once(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mc-cone", "--d", "2", "--n", "2", "--k", "1", "--trials", "1000000000000"),
+        ("mc-recovery", "--d", "2", "--n", "4", "--k", "1", "--trials", "1000000000000"),
+    ],
+)
+def test_mc_trials_past_the_face_test_cap_are_refused_at_once(capsys, argv):
+    # these ran every trial asked for, and were still running when killed at 5 s
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.3
+    assert code == 3
+    assert json.loads(out)["kind"] == "CapacityExceeded"
+
+
 def test_asymptotics_csv(capsys):
     code, out = run_cli(
         capsys, "asymptotics", "--n", "100", "--k", "1", "--r", "1/2", "--z", "0.3", "--x", "2.0"
@@ -323,7 +339,8 @@ def _span(lo, hi):
 # walk cap of 24, where it exits 3 at once.
 # mc-recovery runs one face test per trial, under 1 s for 3 trials at n = 64
 # and d <= 4, so it takes every n up to 300.  --trials is never left out (its
-# default is 1000) nor made huge: a run takes every trial it is asked for.
+# default is 1000) nor made large: a run takes every trial it is asked for,
+# up to 10^6 face tests.
 _MC = [("d", _ints(1, 4)), ("n", st.one_of(_ints(1, 10), _ints(65, 300))), ("k", _ints(0, 4)),
        ("trials", _ints(1, 3)), ("seed?", _ints(0, 10**6))]
 _MC_RECOVERY = [("d", _ints(1, 4)), ("n", _N), ("k", _ints(0, 4)), ("trials", _ints(1, 3)),

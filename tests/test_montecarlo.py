@@ -4,12 +4,15 @@ Hand-built cones with known face lattices pin down the face
 characterization, and a general LP on the original Fraction sums (the
 Fraction tableau of ``lp_oracle``) is the oracle for the Farkas face test.  Recovery uniqueness, a face
 test on the walk of the matrix's column sums, is held to the kernel-polytope
-LPs of ``recovery_oracle``.  Seeded estimator runs are checked against the
-exact closed forms from the cones module (the runs are deterministic, so
-these are frozen comparisons, not flaky statistics).
+LPs of ``recovery_oracle``.  Walks and measurement matrices, integer rows at
+one scale, are held to the exact Fraction sums of the same draws.  Seeded
+estimator runs are checked against the exact closed forms from the cones
+module (the runs are deterministic, so these are frozen comparisons, not
+flaky statistics).
 """
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,6 +20,7 @@ import pytest
 from lp_oracle import OPTIMAL, solve_lp_rational
 from recovery_oracle import is_unique_recovery_lp, signal
 
+from rlah import montecarlo
 from rlah.cones import ConeFaceQuery, expected_face_count, recovery_probability
 from rlah.errors import CapacityExceeded, DegenerateSample, InvalidParameter
 from rlah.montecarlo import (
@@ -36,9 +40,24 @@ from rlah.montecarlo import (
 )
 
 
+def integer_rows(rows):
+    """Reference scaling: rational rows times the lcm L of their denominators."""
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return scale, tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows)
+
+
+def fraction_sums(steps):
+    """Partial sums of binary64 steps, added up in exact Fractions."""
+    sums, acc = [], [F(0)] * len(steps[0])
+    for step in steps:
+        acc = [a + F(float(v)) for a, v in zip(acc, step)]
+        sums.append(tuple(acc))
+    return sums
+
+
 def make_sample(d, vectors):
-    vecs = tuple(tuple(F(v) for v in vec) for vec in vectors)
-    return WalkSample(d=d, n=len(vecs), increments=vecs, sums=vecs)
+    scale, rows = integer_rows([[F(v) for v in vec] for vec in vectors])
+    return WalkSample(d=d, n=len(rows), scale=scale, rows=rows)
 
 
 class TestHandBuiltCones:
@@ -209,14 +228,38 @@ class TestGuards:
         with pytest.raises(InvalidParameter):
             estimate_recovery_probability(2, 3, 1, 0, 0)
 
+    def test_face_test_budget(self):
+        # trials x binom(n, k) face tests (one per recovery trial) over 10^6
+        # are refused before the first draw
+        with pytest.raises(CapacityExceeded, match="1000001 trials of 1 face tests"):
+            estimate_expected_faces(2, 2, 0, 10**6 + 1, 0)
+        with pytest.raises(CapacityExceeded, match="1 trials of 2704156 face tests"):
+            estimate_expected_faces(14, 24, 12, 1, 0)
+        with pytest.raises(CapacityExceeded, match="500001 trials of 2 face tests"):
+            estimate_expected_faces(2, 2, 1, 500001, 0)
+        with pytest.raises(CapacityExceeded, match="1000001 trials of 1 face tests"):
+            estimate_recovery_probability(2, 4, 1, 10**6 + 1, 0)
+
 
 class TestWalkGeneration:
     def test_partial_sums_are_cumulative(self):
         walk = generate_walk(3, 5, np.random.default_rng(11))
+        increments = np.random.default_rng(11).standard_normal((5, 3))
+        assert walk.redraws == 0 and len(walk.sums) == 5
         acc = (F(0), F(0), F(0))
-        for inc, total in zip(walk.increments, walk.sums):
-            acc = tuple(a + b for a, b in zip(acc, inc))
+        for inc, total in zip(increments, walk.sums):
+            acc = tuple(a + F(float(b)) for a, b in zip(acc, inc))
             assert acc == total
+
+    @pytest.mark.parametrize("d,n", [(1, 1), (1, 24), (2, 2), (3, 6), (4, 6), (5, 3), (6, 24), (10, 4)])
+    def test_integer_rows_match_the_fraction_sums(self, d, n):
+        # same lcm and same primitive rows as scaling the Fraction sums, so
+        # face certificates are the same integers either way
+        for seed in range(10):
+            walk = generate_walk(d, n, np.random.default_rng((5, d, n, seed)))
+            steps = np.random.default_rng((5, d, n, seed)).standard_normal((n, d))
+            assert walk.redraws == 0
+            assert (walk.scale, walk.rows) == integer_rows(fraction_sums(steps))
 
     def test_deterministic(self):
         a = generate_walk(2, 4, np.random.default_rng(3))
@@ -250,7 +293,7 @@ class TestRecovery:
     def test_signal_construction(self):
         inst = RecoveryInstance(
             d=3, n=5, k=2, jump_positions=(2, 4), amplitudes=(F(1), F(2)),
-            matrix=tuple(tuple(F(v) for v in row) for row in np.eye(3, 5)),
+            scale=1, matrix=tuple(tuple(int(v) for v in row) for row in np.eye(3, 5)),
         )
         assert signal(inst) == (F(3), F(3), F(2), F(2), F(0))
 
@@ -269,10 +312,30 @@ class TestRecovery:
             assert is_unique_recovery(inst)
 
     def test_degenerate_matrix_detected(self):
-        row = tuple(F(v) for v in (1, 2, 3, 4))
-        inst = RecoveryInstance(2, 4, 1, (2,), (F(1),), (row, row))
+        row = (1, 2, 3, 4)
+        inst = RecoveryInstance(2, 4, 1, (2,), (F(1),), 1, (row, row))
         with pytest.raises(DegenerateSample):
             is_unique_recovery(inst)
+
+    @pytest.mark.parametrize("rule", ["ones", "uniform"])
+    def test_integer_matrix_and_walk_match_the_fractions(self, rule, monkeypatch):
+        walks = []
+        support = montecarlo._support
+        monkeypatch.setattr(montecarlo, "_support", lambda s, a: walks.append(s) or support(s, a))
+        for d, n, k in [(1, 1, 1), (1, 3, 0), (2, 5, 1), (3, 9, 2), (4, 24, 3), (2, 64, 2)]:
+            for seed in range(5):
+                inst = make_recovery_instance(d, n, k, np.random.default_rng((6, d, n, seed)), rule)
+                rng = np.random.default_rng((6, d, n, seed))  # the same draws: positions, amplitudes, matrix
+                rng.choice(n, size=k, replace=False)
+                if rule == "uniform":
+                    rng.random(k)
+                draws = rng.standard_normal((d, n))
+                assert (inst.scale, inst.matrix) == integer_rows([[F(float(v)) for v in row] for row in draws])
+                walks.clear()
+                is_unique_recovery(inst)
+                if n > d:
+                    (walk,) = walks
+                    assert (walk.scale, walk.rows) == integer_rows(fraction_sums(draws.T))
 
     def test_amplitude_rules(self):
         inst = make_recovery_instance(3, 6, 2, np.random.default_rng(0), "uniform")
