@@ -4,24 +4,25 @@ Walk increments and measurement matrices are drawn as binary64 Gaussians and
 read as integers at one power-of-two scale; every geometric decision after
 that point is exact.  A walk keeps its partial sums as integer rows S' = L S,
 L the smallest such scale, and one fraction-free elimination routine in the
-style of Bareiss serves the rank checks and the kernel bases on those
+style of Bareiss serves the rank checks and the null-space bases on those
 integers.  There are no tolerances to tune, and genericity violations are
 detectable as exact rank deficiencies, which are rejected, redrawn and
 counted.
 
 A subset A of generators spans a k-face of the cone iff it is independent
 and some functional u vanishes on A while being strictly negative on the
-rest; strictness is encoded conically as S_j u <= -1.  Only u in the span V
-of the sums matters.  With u = L N w, N an integer basis of span(A)^perp
-within V, the question lives in g = rank(S) - k variables: is
-{w : c_j.w <= -1} nonempty, c_j = S'_j N the projected rows of the other
-generators?  By Farkas' lemma it is empty iff 0 is a convex combination of
-the c_j, which is one phase-1 LP with only g + 1 rows, however many
-generators there are (the simplex of :mod:`rlah.simplex`, which pivots an
+rest; strictness is encoded conically as S_j u <= -1.  With u = L N w, N an
+integer basis of span(A)^perp in R^d, the question lives in g = d - k
+variables: is {w : c_j.w <= -1} nonempty, c_j = S'_j N the projected rows
+of the other generators?  (A solution's projection onto the span of the
+sums has the same S_j.u, so this asks the same as a search within that
+span.)  By Farkas' lemma it is empty iff 0 is a convex combination of the
+c_j, which is one phase-1 LP with only g + 1 rows, however many generators
+there are (the simplex of :mod:`rlah.simplex`, which pivots an
 integer tableau over one common denominator).  When that LP is infeasible
 its multipliers y = (v, s), s < 0, give w = v / s with c_j.w <= -1.  So one
 route serves every g, and the certificate u is exact and can be re-checked
-against the sums.  Pointedness is the case A = {} (g = rank(S)).
+against the sums.  Pointedness is the case A = {} (g = d).
 
 Uniqueness of monotone-signal recovery is the same face test.  The
 monotone chamber is the simplicial cone of the indicators 1_[1..i], and a
@@ -29,8 +30,13 @@ measurement matrix G maps them to the walk S_i = G 1_[1..i] of its column
 sums; a k-jump signal is the unique preimage of its measurements iff the
 walk steps at its jump positions span a k-face of pos(S) (Donoho and
 Tanner, *Discrete Comput. Geom.* 43, 2010, argue the same for orthants).
-The three-way cone classification asks the same simplex whether each
-+-e_i is a nonnegative combination of the sums.
+The three-way cone classification asks the same simplex once whether
+sum_j (x_j + 1) S_j = 0 has a solution x >= 0.
+
+Every walk is bounded by the simplex's design size, checked before any
+draw: n <= 64 steps in d <= 63 dimensions.  A face test's Farkas LP has
+n - k columns and d - k + 1 rows, and the classification LP n columns and
+d rows, so every LP a walk asks fits.
 """
 
 from __future__ import annotations
@@ -46,16 +52,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapacityExceeded, DegenerateSample, InvalidParameter
-from .simplex import INFEASIBLE, solve_lp
+from .simplex import _MAX_SIZE, FEASIBLE, INFEASIBLE, solve_lp
 
 _ENUMERATION_CAP = 10 ** 6
-_MAX_WALK_N = 24
 _MAX_REDRAWS = 16
-# Recovery instances stop at n = 64, a documented refusal made before any
-# work.  The face test's Farkas LP has n - k columns and at most d + 1 rows,
-# so below the cap it always fits the simplex's 64-column guard; lifting the
-# cap means lifting that guard with it.
-_MAX_RECOVERY_N = 64
 
 IntRow = Tuple[int, ...]
 
@@ -144,11 +144,6 @@ class WalkSample:
         """The partial sums S_i as exact rationals."""
         return tuple(tuple(Fraction(v, self.scale) for v in row) for row in self.rows)
 
-    @cached_property
-    def _kernel(self) -> List[IntRow]:
-        """Integer basis of {x : S x = 0}, the complement of the sums' span."""
-        return _null_space(self.rows, self.d)[1]
-
 
 def _walk(d: int, scale: int, steps: Sequence[IntRow], redraws: int = 0) -> WalkSample:
     """The walk in R^d with increments steps / scale: S_i is the sum of the
@@ -162,6 +157,13 @@ def _walk(d: int, scale: int, steps: Sequence[IntRow], redraws: int = 0) -> Walk
     return WalkSample(d, len(rows), scale, tuple(rows), redraws)
 
 
+def _check_size(d: int, n: int) -> None:
+    """Refuse a walk whose LPs would not fit the simplex, before any draw."""
+    if n > _MAX_SIZE or d + 1 > _MAX_SIZE:
+        raise CapacityExceeded(f"a walk of n={n} steps in d={d} dimensions exceeds the LP design size "
+                               f"(n <= {_MAX_SIZE}, d <= {_MAX_SIZE - 1})")
+
+
 def generate_walk(d: int, n: int, rng: np.random.Generator) -> WalkSample:
     """Draw Gaussian increments, read them as scaled integers, form partial sums.
 
@@ -170,15 +172,10 @@ def generate_walk(d: int, n: int, rng: np.random.Generator) -> WalkSample:
     """
     if d < 1 or n < 1:
         raise InvalidParameter(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    if n > _MAX_WALK_N:
-        raise CapacityExceeded(f"n={n} exceeds the Monte Carlo walk cap {_MAX_WALK_N}")
+    _check_size(d, n)
     redraws = 0
     while True:
-        try:
-            steps = rng.standard_normal((n, d))
-        except (ValueError, MemoryError):  # numpy refuses an array of this size
-            raise CapacityExceeded(f"a walk of n={n} steps in d={d} dimensions cannot be allocated") from None
-        sample = _walk(d, *_dyadic(steps), redraws)
+        sample = _walk(d, *_dyadic(rng.standard_normal((n, d))), redraws)
         if _rank(sample.rows) == min(n, d):
             return sample
         redraws += 1
@@ -190,13 +187,11 @@ def _support(sample: WalkSample, subset: Sequence[int]) -> Optional[List[Fractio
     """u with S_i u = 0 on the subset and S_j u <= -1 off it, or None.
 
     None also when the subset is dependent.  The search runs in the g
-    coordinates of u = L N w, N an integer basis of span(subset)^perp
-    within the span of the sums.
+    coordinates of u = L N w, N an integer basis of span(subset)^perp.
     """
     scale, rows = sample.scale, sample.rows
-    kernel = sample._kernel
-    rank, basis = _null_space([rows[i] for i in subset] + kernel, sample.d)
-    if rank < len(subset) + len(kernel):
+    rank, basis = _null_space([rows[i] for i in subset], sample.d)
+    if rank < len(subset):
         return None
     chosen = set(subset)
     g = len(basis)
@@ -215,10 +210,10 @@ def _support(sample: WalkSample, subset: Sequence[int]) -> Optional[List[Fractio
 def face_certificate(sample: WalkSample, subset: Iterable[int]) -> Optional[List[Fraction]]:
     """Supporting functional for the candidate face, or None.
 
-    When pos{S_i : i in A} is a face, returns an exact u in the span of the
-    sums with u.S_i = 0 for i in A and u.S_j <= -1 off A, read off the
-    multipliers of the infeasible Farkas LP.  Callers can re-verify the
-    constraints in rational arithmetic.  None when the subset is dependent
+    When pos{S_i : i in A} is a face, returns an exact u with u.S_i = 0 for
+    i in A and u.S_j <= -1 off A, read off the multipliers of the
+    infeasible Farkas LP.  Callers can re-verify the constraints in
+    rational arithmetic.  None when the subset is dependent
     (dimension condition fails) or no supporting hyperplane exists.
     """
     a = sorted(set(subset))
@@ -247,19 +242,16 @@ def is_pointed(sample: WalkSample) -> bool:
 def classify_cone(sample: WalkSample) -> ConeClass:
     """Three-way classification: pointed / proper but not pointed / all of R^d.
 
-    The cone is all of R^d iff every +-e_i is a nonnegative combination of
-    its generators: 2d feasibility LPs on the scaled sums.
+    The cone is all of R^d iff the sums span R^d and some x >= 0 has
+    sum_j (x_j + 1) S_j = 0, which puts every -S_j in the cone: one
+    feasibility LP on the scaled sums.
     """
     if is_pointed(sample):
         return ConeClass.POINTED
     rows = sample.rows
-    for i in range(sample.d):
-        for sign in (1, -1):
-            target = [0] * sample.d
-            target[i] = sign
-            if solve_lp(rows, target).status == INFEASIBLE:
-                return ConeClass.PROPER_NOT_POINTED
-    return ConeClass.FULL_SPACE
+    if _rank(rows) == sample.d and solve_lp(rows, [-sum(c) for c in zip(*rows)]).status == FEASIBLE:
+        return ConeClass.FULL_SPACE
+    return ConeClass.PROPER_NOT_POINTED
 
 
 def count_faces(sample: WalkSample, k: int) -> int:
@@ -314,8 +306,8 @@ def estimate_expected_faces(d: int, n: int, k: int, trials: int, seed: int) -> M
     Per-trial generators are derived from (seed, trial_index), so the result
     is independent of execution order and trivially parallelizable.
     """
-    # a walk longer than the cap is refused at its first draw, before binom(n, k) matters
-    _check_run(trials, seed, math.comb(n, k) if 0 <= k <= n <= _MAX_WALK_N else 1)
+    # a walk past the size bound is refused at its first draw, before binom(n, k) matters
+    _check_run(trials, seed, math.comb(n, k) if 0 <= k <= n <= _MAX_SIZE else 1)
     total = 0
     total_sq = 0
     rejects = 0
@@ -370,16 +362,13 @@ def make_recovery_instance(
         raise InvalidParameter(f"need 0 <= k <= d <= n, got k={k}, d={d}, n={n}")
     if amplitude_rule not in ("ones", "uniform"):
         raise InvalidParameter(f"unknown amplitude rule {amplitude_rule!r}")
-    try:
-        positions = tuple(sorted(int(v) + 1 for v in rng.choice(n, size=k, replace=False)))
-        if amplitude_rule == "ones":
-            amplitudes = tuple(Fraction(1) for _ in range(k))
-        else:
-            amplitudes = tuple(Fraction(float(1.0 - rng.random())) for _ in range(k))
-        draws = rng.standard_normal((d, n))
-    except (OverflowError, ValueError, MemoryError):  # numpy refuses an n or a matrix of this size
-        raise CapacityExceeded(f"a {d} x {n} measurement matrix cannot be allocated") from None
-    return RecoveryInstance(d, n, k, positions, amplitudes, *_dyadic(draws))
+    _check_size(d, n)
+    positions = tuple(sorted(int(v) + 1 for v in rng.choice(n, size=k, replace=False)))
+    if amplitude_rule == "ones":
+        amplitudes = tuple(Fraction(1) for _ in range(k))
+    else:
+        amplitudes = tuple(Fraction(float(1.0 - rng.random())) for _ in range(k))
+    return RecoveryInstance(d, n, k, positions, amplitudes, *_dyadic(rng.standard_normal((d, n))))
 
 
 # unused here, but tests/recovery_oracle.py calls it and rlahbench/tracing.py wraps it
@@ -401,10 +390,6 @@ def is_unique_recovery(inst: RecoveryInstance) -> bool:
     amplitudes do not enter.
     """
     d, n = inst.d, inst.n
-    if n > _MAX_RECOVERY_N and n > d:
-        raise CapacityExceeded(
-            f"LP with {n - d} variables / {n} constraints exceeds the {_MAX_RECOVERY_N} design size"
-        )
     if _rank(inst.matrix) < d:
         raise DegenerateSample("measurement matrix is not of full row rank")
     if n == d:  # G is injective

@@ -21,8 +21,8 @@ are compared by cross multiplication.  At the end of phase 1 the
 artificial columns hold adj(B), so the phase-1 duals, and with them the
 Farkas certificate, are integer combinations of those columns.
 
-Sized for the face tests of :mod:`rlah.montecarlo` (at most 64 columns
-and 64 rows); a guard rejects anything larger.
+At most 64 columns and 64 rows; a guard rejects anything larger.  The
+walks of :mod:`rlah.montecarlo` are bounded by this size, so their LPs fit.
 """
 
 from __future__ import annotations

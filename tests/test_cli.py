@@ -131,7 +131,7 @@ def test_mc_recovery_runs(capsys):
         (("--d", "0", "--n", "3", "--k", "0"), 0, 0.0),  # no functional is negative on a walk in R^0
         (("--d", "0", "--n", "0", "--k", "0"), 0, 1.0),
         (("--d", "2", "--n", "2", "--k", "2"), 0, 1.0),  # n = d: G is injective
-        (("--d", "70", "--n", "70", "--k", "3", "--trials", "1"), 0, 1.0),  # also past the LP design size
+        (("--d", "70", "--n", "70", "--k", "3", "--trials", "1"), 3, None),  # past the walk size bound
         (("--d", "2", "--n", "65", "--k", "1"), 3, None),
     ],
 )
@@ -162,14 +162,14 @@ def test_mc_recovery_below_the_size_cap_is_fast(capsys, argv, mean):
 
 
 def test_mc_recovery_past_the_cap_is_refused_at_once(capsys):
-    # the refusal comes before the rank check, whose kernel basis of n - d
-    # vectors of length n took 1 s and 100 MB here
+    # the refusal comes before the draw and the rank check, whose kernel
+    # basis of n - d vectors of length n took 1 s and 100 MB here
     start = time.perf_counter()
     code, out = run_cli(capsys, "mc-recovery", "--d", "1", "--n", "3000", "--k", "0", "--trials", "1")
     assert time.perf_counter() - start < 0.3
     assert code == 3
     assert json.loads(out) == {
-        "error": "LP with 2999 variables / 3000 constraints exceeds the 64 design size",
+        "error": "a walk of n=3000 steps in d=1 dimensions exceeds the LP design size (n <= 64, d <= 63)",
         "kind": "CapacityExceeded",
     }
 
@@ -179,10 +179,13 @@ def test_mc_recovery_past_the_cap_is_refused_at_once(capsys):
     [
         ("mc-cone", "--d", "2", "--n", "2", "--k", "1", "--trials", "1000000000000"),
         ("mc-recovery", "--d", "2", "--n", "4", "--k", "1", "--trials", "1000000000000"),
+        ("mc-cone", "--d", "200", "--n", "1", "--k", "0", "--trials", "1"),
+        ("mc-cone", "--d", "100000000", "--n", "1", "--k", "0", "--trials", "1"),
     ],
 )
 def test_mc_trials_past_the_face_test_cap_are_refused_at_once(capsys, argv):
-    # these ran every trial asked for, and were still running when killed at 5 s
+    # the first two ran every trial asked for, and were still running when
+    # killed at 5 s; the walks in d = 200 took 18 s, and in d = 10^8 never ended
     start = time.perf_counter()
     code, out = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 0.3
@@ -333,17 +336,19 @@ def _span(lo, hi):
     return st.builds(lambda a, w: f"{a}:{a + w}", st.integers(lo, hi), st.integers(0, 4))
 
 
-# Monte Carlo arguments stay small.  mc-cone runs a face test, one exact LP,
-# for each of binom(n, k) subsets per trial, so mc-cone at d = 8, n = 12,
-# k = 4 with 3 trials takes seconds; its n stays at 10 or less, or past the
-# walk cap of 24, where it exits 3 at once.
+# Monte Carlo arguments stay small, or go past the walk size bound (n <= 64
+# steps in d <= 63 dimensions), where they exit 3 at once.  mc-cone runs a
+# face test, one exact LP, for each of binom(n, k) subsets per trial, so
+# mc-cone at d = 8, n = 12, k = 4 with 3 trials takes seconds; its n stays at
+# 10 or less, or past 64.
 # mc-recovery runs one face test per trial, under 1 s for 3 trials at n = 64
-# and d <= 4, so it takes every n up to 300.  --trials is never left out (its
-# default is 1000) nor made large: a run takes every trial it is asked for,
-# up to 10^6 face tests.
-_MC = [("d", _ints(1, 4)), ("n", st.one_of(_ints(1, 10), _ints(65, 300))), ("k", _ints(0, 4)),
+# and d <= 4, so it takes every n up to 300.  Both draw d up to 4, or from
+# 64 to 10^30.  --trials is never left out (its default is 1000) nor made
+# large: a run takes every trial it is asked for, up to 10^6 face tests.
+_D = st.one_of(_ints(1, 4), _ints(64, 10**30))
+_MC = [("d", _D), ("n", st.one_of(_ints(1, 10), _ints(65, 300))), ("k", _ints(0, 4)),
        ("trials", _ints(1, 3)), ("seed?", _ints(0, 10**6))]
-_MC_RECOVERY = [("d", _ints(1, 4)), ("n", _N), ("k", _ints(0, 4)), ("trials", _ints(1, 3)),
+_MC_RECOVERY = [("d", _D), ("n", _N), ("k", _ints(0, 4)), ("trials", _ints(1, 3)),
                 ("seed?", _ints(0, 10**6)), ("amplitudes?", st.sampled_from(["ones", "uniform"]))]
 
 # subcommand -> [(flag, values)]; a trailing "?" marks an optional flag, and
@@ -400,8 +405,8 @@ def _argvs(draw):
         (("asymptotics", "--n", "4", "--k", "-3", "--r", "0"), 2),  # refused before lambda_n's square root
         (("asymptotics", "--n", "7", "--k", "0", "--r", "1e3"), 2),  # the residual at z = -0.5 is past binary64
         (("mc-cone", "--d", "1", "--n", "1", "--k", "0", "--trials", "1", "--seed", "-3"), 2),  # seeds are >= 0
-        (("mc-cone", "--d", "9" * 30, "--n", "1", "--k", "0", "--trials", "1"), 3),  # numpy refuses the walk
-        (("mc-recovery", "--d", "1", "--n", "9" * 30, "--k", "0", "--trials", "1"), 3),  # past numpy's C long
+        (("mc-cone", "--d", "9" * 30, "--n", "1", "--k", "0", "--trials", "1"), 3),  # past the walk size bound
+        (("mc-recovery", "--d", "1", "--n", "9" * 30, "--k", "0", "--trials", "1"), 3),  # past the walk size bound
     ],
 )
 def test_fuzz_found_inputs_keep_the_contract(capsys, argv, code_want):

@@ -148,11 +148,12 @@ HAND_BUILT = [
     (2, [(1, 1), (2, 2)]),
     (3, [(1, 2, 0), (2, 4, 0), (F(1, 3), 0, 0), (0, 0, 0)]),
 ]
-# the criterion-09 grid, the mc-cone benchmark points, walks with n < d, and
-# pointedness at gaps g = 4, 6 and 8
+# the criterion-09 grid, the mc-cone benchmark points, walks with n < d (whose
+# certificates leave the span of the sums), pointedness at gaps g = 4, 6 and
+# 8, and a walk of 30 steps
 EQUIVALENCE_GRID = [(2, 2, 1), (2, 4, 1), (3, 4, 1), (3, 4, 2), (3, 6, 2), (3, 6, 0), (4, 6, 1),
-                    (4, 6, 2), (3, 2, 1), (3, 2, 2), (4, 3, 2), (4, 3, 1), (4, 10, 0), (6, 12, 0),
-                    (8, 12, 0)]
+                    (4, 6, 2), (3, 2, 1), (3, 2, 2), (4, 3, 2), (4, 3, 1), (10, 3, 1), (12, 6, 2),
+                    (4, 10, 0), (6, 12, 0), (8, 12, 0), (3, 30, 1)]
 
 
 class TestLPEquivalence:
@@ -171,7 +172,7 @@ class TestLPEquivalence:
 
     @pytest.mark.parametrize("d,n,k", EQUIVALENCE_GRID)
     def test_seeded_walks(self, d, n, k):
-        for seed in range(10):
+        for seed in range(10 if n <= 12 else 1):  # the oracle's LPs take about 0.5 s each at n = 30
             sample = generate_walk(d, n, np.random.default_rng((2024, d, n, seed)))
             self.check(sample, [k] if k else [])
 
@@ -217,10 +218,25 @@ class TestGuards:
             count_faces(big, 12)
 
     def test_walk_caps(self):
-        with pytest.raises(CapacityExceeded):
-            generate_walk(2, 25, np.random.default_rng(0))
+        # one bound, the simplex's design size: n <= 64 steps in d <= 63 dimensions
+        for d, n in [(1, 65), (64, 1)]:
+            with pytest.raises(CapacityExceeded, match="exceeds the LP design size"):
+                generate_walk(d, n, np.random.default_rng(0))
+        assert generate_walk(63, 64, np.random.default_rng(0)).n == 64
         with pytest.raises(InvalidParameter):
             generate_walk(0, 3, np.random.default_rng(0))
+
+    def test_size_refusals_come_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for d, n in [(1, 65), (64, 1), (10**8, 1)]:
+            with pytest.raises(CapacityExceeded):
+                generate_walk(d, n, rng)
+        with pytest.raises(CapacityExceeded):
+            make_recovery_instance(64, 64, 0, rng)
+        with pytest.raises(InvalidParameter):  # invalid parameters are named first
+            make_recovery_instance(10**8, 1, 0, rng)
+        assert rng.bit_generator.state == state
 
     def test_trials_validation(self):
         with pytest.raises(InvalidParameter):
@@ -277,6 +293,15 @@ class TestFaceEstimates:
         est = estimate_expected_faces(2, 4, 1, trials=400, seed=42)
         exact = float(expected_face_count(ConeFaceQuery(2, 4, 1)))
         assert abs(est.mean - exact) <= 3 * est.stderr
+
+    @pytest.mark.parametrize("d,n,trials", [(3, 40, 400), (4, 64, 300)])
+    def test_pointedness_past_24_steps_matches_exact(self, d, n, trials):
+        # the pointed count is Binomial(trials, p); both exact tails at the
+        # observed count must exceed 5e-7 (a two-sided rate of about 1e-6)
+        p = float(expected_face_count(ConeFaceQuery(d, n, 0)))
+        pointed = round(estimate_expected_faces(d, n, 0, trials=trials, seed=3).mean * trials)
+        pmf = [math.comb(trials, i) * p**i * (1 - p) ** (trials - i) for i in range(trials + 1)]
+        assert min(sum(pmf[: pointed + 1]), sum(pmf[pointed:])) > 5e-7, (pointed, p * trials)
 
     def test_deterministic_given_seed(self):
         a = estimate_expected_faces(3, 4, 2, trials=60, seed=5)
