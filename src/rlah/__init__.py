@@ -76,7 +76,6 @@ from .stirling import (
     harmonic_diff,
     lah_r,
     stirling_r,
-    stirling_r_poly,
 )
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
-from .distribution import AdmissibleTriple, PmfHead, pmf_head
+from .distribution import AdmissibleTriple, PmfHead, mode_exact, pmf_head
 from .errors import CapacityExceeded, DomainError, InvalidParameter
 from .rational import RationalLike, as_rational
 
@@ -361,8 +361,6 @@ def convergence_table(
                 "gap": abs(exact - approximant),
             }
         )
-
-    from .distribution import mode_exact  # local import to keep module load light
 
     for n in ns:
         add(n, "clt_kolmogorov", kolmogorov_distance(n, k, r), 0.0)

@@ -179,6 +179,7 @@ def _run(args: argparse.Namespace, out: IO[str]) -> None:
 
     elif args.command == "pgf":
         params = distribution.AdmissibleTriple(args.n, args.k, as_rational(args.r))
+        stirling.check_n_max(params.n, args.n_max)
         _emit_value(out, fmt, distribution.pgf_eval(params, as_rational(args.t)))
 
     elif args.command == "pmf":
@@ -195,15 +196,16 @@ def _run(args: argparse.Namespace, out: IO[str]) -> None:
         normalizer = format_rational(stirling.lah_r(params.n, params.k, params.r, n_max=args.n_max))
         dist = distribution.build_distribution(params, n_max=args.n_max)
         even, odd = dist.parity_probabilities()
+        mean, var = dist.expectation(), dist.variance()
         record = {
             "n": params.n,
             "k": params.k,
             "r": format_rational(params.r),
             "normalizer": normalizer,
-            "expectation": format_rational(dist.expectation()),
-            "expectation_float": float(dist.expectation()),
-            "variance": format_rational(dist.variance()),
-            "variance_float": float(dist.variance()),
+            "expectation": format_rational(mean),
+            "expectation_float": float(mean),
+            "variance": format_rational(var),
+            "variance_float": float(var),
             "mode": ",".join(str(j) for j in sorted(dist.mode())),
             "parity_even": format_rational(even),
             "parity_odd": format_rational(odd),

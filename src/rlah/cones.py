@@ -33,18 +33,16 @@ from .distribution import (
     build_distribution,  # unused here, but rlahbench/tracing.py wraps rlah.cones.build_distribution
     pmf_head,
 )
-from .errors import CapacityExceeded, InvalidParameter
+from .errors import InvalidParameter
 from .rational import as_rational
 from .stirling import (
+    check_n_max,
     effective_n_max,
     first_kind_prefix,  # unused here, but rlahbench/tracing.py wraps rlah.cones.first_kind_prefix
     stirling_r,  # unused here, but rlahbench/tracing.py wraps rlah.cones.stirling_r
 )
 
 _HALF = Fraction(1, 2)
-# strong_threshold_check reports no exact defect bound past this n; that is
-# its documented output, and lifting the limit would change it
-_PARITY_SUM_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -64,12 +62,6 @@ class ConeFaceQuery:
             raise InvalidParameter(f"k must lie in [0, d-1], got k={self.k}, d={self.d}")
 
 
-def _check_cap(n: int, n_max: int | None) -> None:
-    cap = effective_n_max(n_max)
-    if n > cap:
-        raise CapacityExceeded(f"n={n} exceeds n_max={cap}")
-
-
 def expected_face_count(q: ConeFaceQuery, *, n_max: int | None = None) -> Fraction:
     """Exact E[f_k(C_n^B)] = binom(n,k) * face ratio."""
     return math.comb(q.n, q.k) * face_ratio(q, n_max=n_max)
@@ -80,7 +72,7 @@ def face_ratio(q: ConeFaceQuery, *, n_max: int | None = None) -> Fraction:
 
     Evaluated on the exact PMF head up to d-1, so large n costs O(d * n).
     """
-    _check_cap(q.n, n_max)
+    check_n_max(q.n, n_max)
     head = pmf_head(q.n, q.k, _HALF, q.d - 1)
     total = Fraction(0)
     j = q.d - 1
@@ -135,15 +127,13 @@ class StrongThresholdResult:
     exact_tail_bound: Optional[Fraction]  # 2 n^k P[Lah >= d]
 
 
-def strong_threshold_check(
-    k: int, d: int, n: int, *, exact: bool = True, n_max: int | None = None
-) -> StrongThresholdResult:
+def strong_threshold_check(k: int, d: int, n: int, *, n_max: int | None = None) -> StrongThresholdResult:
     """Check the k-neighbourliness regime n <= e^(d/((k+1/2) e)).
 
     ``applies`` reports whether that growth condition holds, in which case
-    P[f_k != binom(n,k)] is O(n^-1/2) with explicit envelope 2/sqrt(n).  When
-    ``exact`` is set and the exact tables permit, the finite-n quantities
-    from the proof chain are returned as exact rationals.  n < d is allowed
+    P[f_k != binom(n,k)] is O(n^-1/2) with explicit envelope 2/sqrt(n).  For
+    k < n within the row cap, the finite-n quantities from the proof chain
+    are returned as exact rationals; otherwise they are None.  n < d is allowed
     (every such cone is simplicial, so the defect probability is 0).
     """
     if k < 0 or d < 1 or n < 1:
@@ -151,13 +141,13 @@ def strong_threshold_check(
     applies = (k + 0.5) * math.e * math.log(n) <= d
     envelope = 2.0 / math.sqrt(n)
     defect = tail = None
-    if exact and n > k and n <= effective_n_max(n_max):
+    if n > k and n <= effective_n_max(n_max):
         if d <= k:
             tail = 2 * Fraction(n) ** k  # support starts at k >= d: tail mass is 1
         else:
             head = pmf_head(n, k, _HALF, min(d - 1, n))
             tail = 2 * Fraction(n) ** k * head.upper_tail(d)
-        if k <= d - 1 <= n - 1 and n <= _PARITY_SUM_LIMIT:
+        if k <= d - 1 <= n - 1:
             # 1 - ratio = 2 P[Lah in {d+1, d+3, ...}], as the parities split evenly for n > k
             defect = math.comb(n, k) * (1 - face_ratio(ConeFaceQuery(d, n, k), n_max=n_max))
     return StrongThresholdResult(applies, envelope, defect, tail)
@@ -178,5 +168,5 @@ def recovery_probability(d: int, n: int, k: int, *, n_max: int | None = None) ->
         raise InvalidParameter(f"need 0 <= k <= d <= n, got k={k}, d={d}, n={n}")
     if k <= d - 1:
         return face_ratio(ConeFaceQuery(d, n, k), n_max=n_max)
-    _check_cap(n, n_max)
+    check_n_max(n, n_max)
     return Fraction(0)

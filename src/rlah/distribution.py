@@ -42,7 +42,7 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from .errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
+from .errors import InadmissibleParameters, InvalidParameter
 from .rational import (
     RationalLike,
     as_rational,
@@ -52,7 +52,7 @@ from .rational import (
 from .stirling import (
     _first_kind_prefix_scaled,
     _second_kind_column_scaled,
-    effective_n_max,
+    check_n_max,
     factorial,
     gen_binomial,
     harmonic_diff,
@@ -79,10 +79,6 @@ class AdmissibleTriple:
             raise InadmissibleParameters(f"r must be >= 0, got {self.r}")
         if max(self.k, self.r) <= 0:
             raise InadmissibleParameters("k = r = 0 is excluded (L(n,0)_0 = 0)")
-
-    @classmethod
-    def of(cls, n: int, k: int, r: RationalLike) -> "AdmissibleTriple":
-        return cls(n, k, as_rational(r))
 
 
 def expectation_exact(n: int, k: int, r: RationalLike) -> Fraction:
@@ -204,8 +200,8 @@ def _head_row(n: int, k: int, r: Fraction, j_hi: int) -> _HeadRow:
     with _cache_lock:
         row = _cache.get(key)
         if row is None:
-            # q^n L(n,k)_r is the sum of the integer weights, so it is an integer
-            den = r.denominator ** n * lah_r(n, k, r, n_max=max(n, effective_n_max()))
+            # q^n L(n,k)_r is the integer sum of the weights; callers apply any row cap
+            den = r.denominator ** n * lah_r(n, k, r, n_max=n)
             row = _HeadRow(k, den.numerator)
         top = k + len(row.cum) - 1
         if j_hi > top:
@@ -412,9 +408,7 @@ def build_distribution(params: AdmissibleTriple, *, n_max: int | None = None) ->
     """Materialize the exact r-Lah distribution: a view of the full head row
     of (n, k, r), the same cached row that ``pmf_head`` windows grow."""
     n = params.n
-    cap = effective_n_max(n_max)
-    if n > cap:
-        raise CapacityExceeded(f"n={n} exceeds n_max={cap}")
+    check_n_max(n, n_max)
     row = _head_row(n, params.k, params.r, n)
     if row.cum[-1] != row.den:
         raise AssertionError("PMF does not sum to 1: the head row is broken")
@@ -444,7 +438,7 @@ def pmf_head(n: int, k: int, r: RationalLike, j_hi: int) -> PmfHead:
     return _pmf_head_cached(params.n, params.k, params.r, j_hi)
 
 
-def mode_exact(n: int, k: int, r: RationalLike, *, window: int | None = None) -> Set[int]:
+def mode_exact(n: int, k: int, r: RationalLike) -> Set[int]:
     """Exact argmax set of the PMF, computed on a certified prefix.
 
     The head is grown until the (strictly log-concave) weight sequence is
@@ -455,8 +449,7 @@ def mode_exact(n: int, k: int, r: RationalLike, *, window: int | None = None) ->
     r = as_rational(r)
     params = AdmissibleTriple(n, k, r)
     lam = (k + float(r)) * math.log(max(n, 2))
-    j_hi = window if window is not None else min(n, int(math.ceil(lam + 8 * math.sqrt(lam + 4))) + 16)
-    j_hi = max(j_hi, k + 2)
+    j_hi = max(min(n, int(math.ceil(lam + 8 * math.sqrt(lam + 4))) + 16), k + 2)
     while True:
         head = pmf_head(n, k, r, j_hi)
         w = head._weights()

@@ -14,10 +14,12 @@ recurrence in n.  ``stirling_r`` reads one entry from them; the PMF rows of
 :mod:`rlah.distribution` read whole slices.  A Fraction is built only at the
 boundary.
 
+``check_n_max`` is the one row-cap check: n may not exceed an explicit
+``n_max``, else ``$RLAH_N_MAX``, else 4096.  PMF heads take no cap.
+
 ``RStirlingTable`` fills the whole triangle of one kind by the recurrences
-above, in Fractions.  No production path reads it: it is the recurrence
-behind ``stirling_r_poly``, the polynomial-in-r formula over ordinary
-Stirling numbers that tests use as an independent oracle.
+above, in Fractions.  No production path reads it; the tests' oracles
+(``tests/law_oracle.py``) build on it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import os
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
 from .rational import RationalLike, as_rational
@@ -57,6 +59,13 @@ def effective_n_max(override: int | None = None) -> int:
         raise InvalidParameter(f"${_N_MAX_ENV} must be an integer, got {env!r}") from exc
 
 
+def check_n_max(n: int, n_max: int | None = None) -> None:
+    """Raise CapacityExceeded when row n lies past the cap ``effective_n_max(n_max)``."""
+    cap = effective_n_max(n_max)
+    if n > cap:
+        raise CapacityExceeded(f"n={n} exceeds n_max={cap}")
+
+
 def _check_r(r: Fraction) -> Fraction:
     if r < 0:
         raise InvalidParameter(f"r must be >= 0, got {r}")
@@ -65,8 +74,10 @@ def _check_r(r: Fraction) -> Fraction:
 
 class RStirlingTable:
     """Memoized triangle of r-Stirling numbers of one kind, for one fixed r:
-    the oracle side of the tests and of ``stirling_r_poly``, never a
-    production route.
+    the oracle side of the tests, never a production route.  It stays in
+    this module only because the benchmark's tracer wraps
+    ``RStirlingTable.ensure``; it moves into the tests once the tracer no
+    longer rebinds library names.
 
     Rows are immutable tuples once appended; growing the table is
     single-writer (guarded by a per-table lock), concurrent reads of filled
@@ -112,20 +123,6 @@ class RStirlingTable:
         return self._rows[n][k]
 
 
-_registry: Dict[Tuple[StirlingKind, Fraction], RStirlingTable] = {}
-_registry_lock = threading.Lock()
-
-
-def table_for(kind: StirlingKind, r: RationalLike) -> RStirlingTable:
-    """Shared table for (kind, canonical r); created on first use."""
-    key = (kind, _check_r(as_rational(r)))
-    table = _registry.get(key)
-    if table is None:
-        with _registry_lock:
-            table = _registry.setdefault(key, RStirlingTable(*key))
-    return table
-
-
 def stirling_r(
     kind: StirlingKind,
     n: int,
@@ -139,9 +136,7 @@ def stirling_r(
     The first kind is entry k of the prefix of row n, over q^(n-k); the
     second kind is entry n of column k, over q^n.
     """
-    cap = effective_n_max(n_max)
-    if n > cap:
-        raise CapacityExceeded(f"n={n} exceeds n_max={cap}")
+    check_n_max(n, n_max)
     r = _check_r(as_rational(r))
     if n < 0:
         raise InvalidParameter(f"n must be >= 0, got {n}")
@@ -151,42 +146,6 @@ def stirling_r(
     if kind is StirlingKind.FIRST:
         return Fraction(_first_kind_prefix_scaled(n, r, k)[k], q ** (n - k))
     return Fraction(_second_kind_column_scaled(k, r, n)[n], q ** n)
-
-
-def stirling_r_poly(
-    kind: StirlingKind,
-    n: int,
-    k: int,
-    r: RationalLike,
-    *,
-    n_max: int | None = None,
-) -> Fraction:
-    """Same value via the polynomial-in-r formula over ordinary Stirling numbers.
-
-    first kind:  sum_j c(n,j) * C(j,k) * r^(j-k)
-    second kind: sum_j C(n,j) * S(j,k) * r^(n-j)
-
-    An independent oracle for the integer slices behind :func:`stirling_r`;
-    the ordinary Stirling numbers come from the r = 0 recurrence triangle.
-    """
-    cap = effective_n_max(n_max)
-    if n > cap:
-        raise CapacityExceeded(f"n={n} exceeds n_max={cap}")
-    r = _check_r(as_rational(r))
-    if n < 0:
-        raise InvalidParameter(f"n must be >= 0, got {n}")
-    if k < 0 or k > n:
-        return Fraction(0)
-    plain = table_for(kind, Fraction(0))
-    if kind is StirlingKind.FIRST:
-        return sum(
-            (plain.value(n, j) * math.comb(j, k) * r ** (j - k) for j in range(k, n + 1)),
-            Fraction(0),
-        )
-    return sum(
-        (math.comb(n, j) * plain.value(j, k) * r ** (n - j) for j in range(k, n + 1)),
-        Fraction(0),
-    )
 
 
 def gen_binomial(top_offset: RationalLike, gap: int) -> Fraction:
@@ -224,9 +183,7 @@ def lah_r(n: int, k: int, r: RationalLike, *, n_max: int | None = None) -> Fract
     """r-Lah number via the closed form binom(n+2r-1, k+2r-1) * n!/k!."""
     r = as_rational(r)
     _check_admissible(n, k, r)
-    cap = effective_n_max(n_max)
-    if n > cap:
-        raise CapacityExceeded(f"n={n} exceeds n_max={cap}")
+    check_n_max(n, n_max)
     return gen_binomial(n + 2 * r - 1, n - k) * factorial(n) / factorial(k)
 
 

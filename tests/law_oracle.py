@@ -3,6 +3,9 @@
 rlah computes each quantity one way; the functions here compute it another
 way, so the tests can hold the two together:
 
+- r-Stirling numbers by the polynomial-in-r formula over ordinary Stirling
+  numbers, which come from the shared recurrence triangles (``table_for``),
+  against :func:`rlah.stirling.stirling_r`'s integer slices;
 - E[X] by the second closed form (split into its k-part and r-part) and by
   the PMF sum, against :meth:`rlah.distribution.LahDistribution.expectation`;
 - the generating function as the PMF sum, against
@@ -25,7 +28,9 @@ outside the tests.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -41,11 +46,60 @@ from rlah.distribution import (
 )
 from rlah.errors import CapacityExceeded, InvalidParameter
 from rlah.rational import RationalLike, as_rational
-from rlah.stirling import StirlingKind, effective_n_max, factorial, harmonic_diff, stirling_r
+from rlah.stirling import (
+    RStirlingTable,
+    StirlingKind,
+    _check_r,
+    check_n_max,
+    factorial,
+    harmonic_diff,
+    stirling_r,
+)
 
 DEFAULT_N_MAX_FLOAT = 20_000
 _PGF_METHOD_N_CAP = 512
 _HALF = Fraction(1, 2)
+
+
+# -- r-Stirling numbers -----------------------------------------------------------
+
+_registry: Dict[Tuple[StirlingKind, Fraction], RStirlingTable] = {}
+_registry_lock = threading.Lock()
+
+
+def table_for(kind: StirlingKind, r: RationalLike) -> RStirlingTable:
+    """Shared recurrence triangle for (kind, canonical r); created on first use."""
+    key = (kind, _check_r(as_rational(r)))
+    table = _registry.get(key)
+    if table is None:
+        with _registry_lock:
+            table = _registry.setdefault(key, RStirlingTable(*key))
+    return table
+
+
+def stirling_r_poly(kind: StirlingKind, n: int, k: int, r: RationalLike) -> Fraction:
+    """r-Stirling number via the polynomial-in-r formula over ordinary Stirling numbers.
+
+    first kind:  sum_j c(n,j) * C(j,k) * r^(j-k)
+    second kind: sum_j C(n,j) * S(j,k) * r^(n-j)
+
+    The ordinary Stirling numbers come from the r = 0 recurrence triangle.
+    """
+    r = _check_r(as_rational(r))
+    if n < 0:
+        raise InvalidParameter(f"n must be >= 0, got {n}")
+    if k < 0 or k > n:
+        return Fraction(0)
+    plain = table_for(kind, Fraction(0))
+    if kind is StirlingKind.FIRST:
+        return sum(
+            (plain.value(n, j) * math.comb(j, k) * r ** (j - k) for j in range(k, n + 1)),
+            Fraction(0),
+        )
+    return sum(
+        (math.comb(n, j) * plain.value(j, k) * r ** (n - j) for j in range(k, n + 1)),
+        Fraction(0),
+    )
 
 
 # -- expectation and generating function -----------------------------------------
@@ -99,9 +153,7 @@ def alternating_stirling_sum(n: int, d: int, k: int, *, n_max: int | None = None
     scaled first-kind prefix of (n, 1/2) that the PMF heads share,
     c(n, j)_{1/2} = b[j] / 2^(n-j).
     """
-    cap = effective_n_max(n_max)
-    if n > cap:
-        raise CapacityExceeded(f"n={n} exceeds n_max={cap}")
+    check_n_max(n, n_max)
     if d - 1 < k:
         return Fraction(0)  # no term; d = 0 would ask for an empty prefix
     with _cache_lock:

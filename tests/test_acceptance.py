@@ -40,11 +40,11 @@ from rlah.montecarlo import (
     is_unique_recovery,
     make_recovery_instance,
 )
-from rlah.stirling import StirlingKind, lah_r, stirling_r, stirling_r_poly
+from rlah.stirling import StirlingKind, lah_r, stirling_r
 
 import numpy as np
 
-from law_oracle import expectation_alt, mean_via_pmf, pgf_via_pmf
+from law_oracle import expectation_alt, mean_via_pmf, pgf_via_pmf, stirling_r_poly
 
 HALF = F(1, 2)
 R_GRID = [F(0), HALF, F(1), F(7, 3)]

@@ -210,10 +210,31 @@ def test_validation_exit_code(capsys):
     assert record["kind"] == "InadmissibleParameters"
 
 
-def test_capacity_exit_code(capsys):
-    code, out = run_cli(capsys, "stirling", "--kind", "first", "--n", "50", "--k", "2", "--r", "1/2", "--n-max", "10")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stirling", "--kind", "first", "--n", "50", "--k", "2", "--r", "1/2", "--n-max", "10"),
+        ("lah", "--n", "50", "--k", "2", "--r", "1/2", "--n-max", "10"),
+        ("pmf", "--n", "50", "--k", "2", "--r", "1/2", "--n-max", "10"),
+        ("stats", "--n", "50", "--k", "2", "--r", "1/2", "--n-max", "10"),
+        ("pgf", "--n", "50", "--k", "2", "--r", "1/2", "--t", "1/3", "--n-max", "10"),
+        ("faces", "--d", "5", "--n", "50", "--k", "2", "--n-max", "10"),
+        ("recovery", "--d", "5", "--n", "50", "--k", "2", "--n-max", "10"),
+        # pgf_eval's cost grows about as n^2, so past the cap this n would run about an hour
+        ("pgf", "--n", "1000000", "--k", "1", "--r", "1/2", "--t", "1/2"),
+    ],
+    ids=["stirling", "lah", "pmf", "stats", "pgf", "faces", "recovery", "pgf-default-cap"],
+)
+def test_capacity_exit_code(capsys, monkeypatch, argv):
+    # every command that takes --n-max refuses a row past its cap before any work
+    monkeypatch.delenv("RLAH_N_MAX", raising=False)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.3
     assert code == 3
-    assert json.loads(out)["kind"] == "CapacityExceeded"
+    n = argv[argv.index("--n") + 1]
+    cap = argv[argv.index("--n-max") + 1] if "--n-max" in argv else 4096
+    assert json.loads(out) == {"error": f"n={n} exceeds n_max={cap}", "kind": "CapacityExceeded"}
 
 
 def test_bad_rational_exit_code(capsys):
@@ -248,11 +269,21 @@ def test_unparseable_arguments_exit_2_with_record(capsys, argv):
     assert json.loads(out)["kind"] == "InvalidParameter"
 
 
-def test_bad_n_max_environment_exits_2(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv,code_want",
+    [
+        (("lah", "--n", "3", "--k", "1", "--r", "1/2"), 2),
+        # asymptotics has no row cap, so it never reads the variable
+        (("asymptotics", "--n", "100", "--k", "1", "--r", "1/2"), 0),
+    ],
+    ids=["lah", "asymptotics"],
+)
+def test_bad_n_max_environment_exits_2(capsys, monkeypatch, argv, code_want):
     monkeypatch.setenv("RLAH_N_MAX", "abc")
-    code, out = run_cli(capsys, "lah", "--n", "3", "--k", "1", "--r", "1/2")
-    assert code == 2
-    assert json.loads(out)["kind"] == "InvalidParameter"
+    code, out = run_cli(capsys, *argv)
+    assert code == code_want
+    if code_want == 2:
+        assert json.loads(out)["kind"] == "InvalidParameter"
 
 
 def test_out_file_in_missing_directory_exits_2(tmp_path, capsys):

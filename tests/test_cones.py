@@ -156,9 +156,9 @@ class TestStrongThreshold:
                         assert res.exact_tail_bound >= res.exact_defect_bound
 
     def test_defect_equals_the_complement_route(self):
-        # the criterion-12 grid plus the sizes around the parity-sum limit
+        # the criterion-12 grid plus larger n
         points = [(k, d, n) for d in range(1, 11) for n in range(1, 21) for k in range(3)]
-        points += [(k, d, n) for d in (4, 10) for n in (200, 511, 512) for k in range(3)]
+        points += [(k, d, n) for d in (4, 10) for n in (200, 511, 512, 513, 1000) for k in range(3)]
         checked = 0
         for k, d, n in points:
             defect = strong_threshold_check(k, d, n).exact_defect_bound
@@ -171,9 +171,13 @@ class TestStrongThreshold:
         assert checked > 300
 
     def test_parity_sum_limit_boundary(self):
-        assert strong_threshold_check(1, 8, 512).exact_defect_bound is not None
-        assert strong_threshold_check(1, 8, 513).exact_defect_bound is None
-        assert strong_threshold_check(1, 8, 513).exact_tail_bound is not None
+        # the defect bound is reported for every n within the row cap
+        for n in (512, 513, 1000):
+            res = strong_threshold_check(1, 8, n)
+            assert res.exact_defect_bound == n * face_ratio_complement(ConeFaceQuery(8, n, 1))
+            assert res.exact_tail_bound is not None
+        capped = strong_threshold_check(1, 8, 513, n_max=512)
+        assert capped.exact_defect_bound is None and capped.exact_tail_bound is None
 
     def test_n_below_d_is_allowed(self):
         # the spec's own example sits in this regime; the defect is 0 there

@@ -30,9 +30,9 @@ from rlah.distribution import (
     pmf_head,
 )
 from rlah.errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
-from rlah.stirling import StirlingKind, stirling_r, table_for
+from rlah.stirling import StirlingKind, stirling_r
 
-from law_oracle import expectation_alt, log_fraction, mean_via_pmf, pgf_via_pmf
+from law_oracle import expectation_alt, log_fraction, mean_via_pmf, pgf_via_pmf, table_for
 
 HALF = F(1, 2)
 

@@ -21,9 +21,9 @@ from rlah.stirling import (
     harmonic_diff,
     lah_r,
     stirling_r,
-    stirling_r_poly,
-    table_for,
 )
+
+from law_oracle import stirling_r_poly, table_for
 
 FIRST, SECOND = StirlingKind.FIRST, StirlingKind.SECOND
 R_GRID = [F(0), F(1, 2), F(1), F(7, 3)]
