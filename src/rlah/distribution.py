@@ -15,7 +15,10 @@ the scaled first-kind prefix of row n and t the scaled second-kind column k,
 the weight of j is w[j] = b[j] * t[j] and P[X = j] = w[j] / den, where
 den = q^n L(n,k)_r is the sum of all weights.  A row holds the prefix sums
 of the weights, is grown upward and is shared by every window of its
-(n, k, r); one first-kind prefix per (n, r) is shared by every k.
+(n, k, r); one first-kind prefix per (n, r) is shared by every k.  Row n of
+the first kind is row m < n times the factors m..n-1, so a prefix steps up
+from the nearest cached row of the same r that is wide enough, and rows at
+nearby n share their kernel work.
 
 ``pmf_head`` is a view of a row's prefix {k, ..., j_hi}, at O(j_hi * n)
 big-integer work, which is what makes exact tail sums, CDF heads and modes
@@ -24,9 +27,9 @@ width: ``LahDistribution`` is the ``PmfHead`` with j_hi = n, and its
 moments, parity split, mode and log-concavity are integer sums and
 comparisons over den.  CDF values, tails and floats are read off the sums,
 and a Fraction is built only at the API boundary.  The generating function
-is evaluated by its closed alternating sum (``pgf_eval``).  Rows and
-prefixes share one byte budget, ``_CACHE_BUDGET_BYTES``, and the least
-recently used are evicted first.
+is evaluated by its closed alternating sum (``pgf_eval``), in integers.
+Rows and prefixes share one byte budget, ``_CACHE_BUDGET_BYTES``, and the
+least recently used are evicted first.
 """
 
 from __future__ import annotations
@@ -99,21 +102,22 @@ def pgf_eval(params: AdmissibleTriple, t: RationalLike) -> Fraction:
         (1/binom(n+2r-1, k+2r-1)) * sum_{m=0}^{k} (-1)^{k-m} C(k,m)
             * (a)(a+1)...(a+n-1) / n!,    a = r(t+1) + t*m,
 
-    the gamma-quotient factor expanded as an exact rising factorial.  For
-    r = 0 the m = 0 term vanishes on its own: its rising factorial starts
-    at a = 0.  Exact for rational t; equals the PMF sum.
+    the gamma-quotient factor expanded as an exact rising factorial.  With
+    r = p/q and t = u/v, a = (a0 + m*c)/b for the integers a0 = p(u+v),
+    c = q*u and b = q*v, so each rising factorial is the integer product of
+    a0 + m*c + i*b over i < n, divided by b^n, and the whole sum is one
+    integer over b^n n!.  For r = 0 the m = 0 term vanishes on its own: its
+    product starts at a0 = 0.  Exact for rational t; equals the PMF sum.
     """
     t = as_rational(t)
     n, k, r = params.n, params.k, params.r
-    binom = gen_binomial(n + 2 * r - 1, n - k)
-    total = Fraction(0)
+    p, q, u, v = r.numerator, r.denominator, t.numerator, t.denominator
+    a0, c, b = p * (u + v), q * u, q * v
+    total = 0
     for m in range(k + 1):
-        a = r * (t + 1) + t * m
-        rising = Fraction(1)
-        for i in range(n):
-            rising *= a + i
-        total += (-1) ** (k - m) * math.comb(k, m) * rising / factorial(n)
-    return total / binom
+        a = a0 + m * c
+        total += (-1) ** (k - m) * math.comb(k, m) * math.prod(range(a, a + n * b, b))
+    return Fraction(total, b ** n * factorial(n)) / gen_binomial(n + 2 * r - 1, n - k)
 
 
 # -- exact prefix of the PMF for large n --------------------------------------
@@ -180,16 +184,30 @@ _cache_lock = threading.Lock()
 def _prefix(n: int, r: Fraction, j_max: int) -> List[int]:
     """Scaled first-kind prefix b[0..j_max] of row n, shared by every k.
 
-    It is recomputed only when a request goes past the cached one, and then
-    at no less than twice the cached size, so a run of widening windows
-    costs a bounded multiple of the widest.  The caller holds ``_cache_lock``.
+    A cached prefix of row m covers a width w = min(j_max, n) when it has
+    more than w entries or is the full row (m + 1 entries).  Row n is
+    computed only when its cached prefix does not cover the request, and
+    then at no less than twice the cached width, so a run of widening
+    windows costs a bounded multiple of the widest.  The kernel steps up
+    from the largest cached row m < n of the same r that covers the width,
+    multiplying in only the factors m..n-1, so rows of one r at nearby n
+    share their work.  The caller holds ``_cache_lock``.
     """
+
+    def covers(m: int, s: List[int], width: int) -> bool:
+        return len(s) > width or len(s) == m + 1
+
     key = ("prefix", n, r)
     b = _cache.get(key)
-    if b is None or len(b) <= j_max:
+    if b is None or not covers(n, b, min(j_max, n)):
         if b is not None:
             j_max = max(j_max, 2 * (len(b) - 1))
-        b = _first_kind_prefix_scaled(n, r, j_max)
+        width = min(j_max, n)
+        start = (0, (1,))
+        for (kind, m, rr, *_), (s, _) in _cache._entries.items():  # a peek: LRU order stays
+            if kind == "prefix" and rr == r and start[0] < m < n and covers(m, s, width):
+                start = (m, s)
+        b = _first_kind_prefix_scaled(n, r, j_max, start)
         _cache.put(key, b, sum(map(sys.getsizeof, b)))
     return b
 

@@ -30,7 +30,7 @@ import os
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
 from .rational import RationalLike, as_rational
@@ -199,24 +199,31 @@ def harmonic_diff(alpha: RationalLike, m: int) -> Fraction:
 
 # -- exact row/column slices for large n ------------------------------------
 
-def _first_kind_prefix_scaled(n: int, r: Fraction, j_max: int) -> List[int]:
+def _first_kind_prefix_scaled(
+    n: int, r: Fraction, j_max: int, start: Tuple[int, Sequence[int]] = (0, (1,))
+) -> List[int]:
     """Integer coefficients b with c(n,j)_r = b[j] * q^(j-n), q = r.denominator.
 
     b is the prefix [0..j_max] of the coefficient list of the monic integer
     polynomial prod_{i=0}^{n-1} (y + p + q*i); the prefix is closed under the
     one-factor-at-a-time update, so only j_max+1 columns are carried.
+
+    ``start`` = (m, s) holds the scaled prefix s of row m <= n, and only the
+    factors i = m..n-1 are multiplied in.  s must be a full row (m + 1
+    entries) or reach column min(j_max, n); it is trimmed to that width
+    first, so the integers are those of the last n - m steps of a run from
+    row 0, whose prefix is [1].
     """
     p, q = r.numerator, r.denominator
     j_max = min(j_max, n)
-    b = [0] * (j_max + 1)
-    b[0] = 1
-    deg = 0
-    for i in range(n):
+    m, s = start
+    b = list(s[: j_max + 1])
+    b += [0] * (j_max + 1 - len(b))
+    for i in range(m, n):
         c = p + q * i
-        for j in range(min(deg + 1, j_max), 0, -1):
+        for j in range(min(i + 1, j_max), 0, -1):
             b[j] = b[j - 1] + c * b[j]
         b[0] = c * b[0]
-        deg += 1
     return b
 
 

@@ -39,8 +39,6 @@ from rlah.cones import ConeFaceQuery
 from rlah.distribution import (
     AdmissibleTriple,
     LahDistribution,
-    _cache_lock,
-    _prefix,
     build_distribution,
     pgf_eval,
 )
@@ -50,6 +48,7 @@ from rlah.stirling import (
     RStirlingTable,
     StirlingKind,
     _check_r,
+    _first_kind_prefix_scaled,
     check_n_max,
     factorial,
     harmonic_diff,
@@ -149,15 +148,15 @@ def face_ratio_complement(q: ConeFaceQuery, *, n_max: int | None = None) -> Frac
 def alternating_stirling_sum(n: int, d: int, k: int, *, n_max: int | None = None) -> Fraction:
     """sum_{l>=0} c(n, d-2l-1)_{1/2} * S(d-2l-1, k)_{1/2}; finite by construction.
 
-    Only the first d columns of row n enter, so they are read from the
-    scaled first-kind prefix of (n, 1/2) that the PMF heads share,
+    Only the first d columns of row n enter, so they are read from one
+    kernel run of the scaled first-kind prefix from row 0, outside the PMF
+    heads' cache that steps rows up from one another:
     c(n, j)_{1/2} = b[j] / 2^(n-j).
     """
     check_n_max(n, n_max)
     if d - 1 < k:
         return Fraction(0)  # no term; d = 0 would ask for an empty prefix
-    with _cache_lock:
-        b = _prefix(n, _HALF, d - 1)
+    b = _first_kind_prefix_scaled(n, _HALF, d - 1)
     total = Fraction(0)
     for j in range(d - 1, k - 1, -2):
         total += Fraction(b[j], 2 ** (n - j)) * stirling_r(StirlingKind.SECOND, j, k, _HALF, n_max=n_max)

@@ -204,6 +204,12 @@ def test_pgf_two_path_agreement(r):
                 assert pgf_eval(params, t) == pgf_via_pmf(d, t)
 
 
+def test_pgf_of_the_point_mass_at_k_equal_n_is_t_to_the_n():
+    # k = n puts all mass on X = n, so the alternating sum must collapse to t^n exactly
+    t = F(1, 3)
+    assert pgf_eval(AdmissibleTriple(1000, 1000, HALF), t) == t ** 1000
+
+
 # -- bivariate coefficient-extraction oracle -------------------------------------
 
 def _poly_mul(a, b):
@@ -491,9 +497,9 @@ def test_two_k_share_one_first_kind_prefix(monkeypatch):
     calls = []
     kernel = distribution._first_kind_prefix_scaled
 
-    def counted(n, r, j_max):
+    def counted(n, r, j_max, *start):
         calls.append(j_max)
-        return kernel(n, r, j_max)
+        return kernel(n, r, j_max, *start)
 
     monkeypatch.setattr(distribution, "_first_kind_prefix_scaled", counted)
     with fresh_cache():
@@ -504,6 +510,68 @@ def test_two_k_share_one_first_kind_prefix(monkeypatch):
         assert calls == [30, 60]
         pmf_head(500, 1, HALF, 55)
         assert calls == [30, 60]
+
+
+def test_a_row_steps_up_from_the_nearest_covering_row(monkeypatch):
+    calls = []
+    kernel = distribution._first_kind_prefix_scaled
+
+    def counted(n, r, j_max, start):
+        calls.append((n, j_max, start[0]))
+        return kernel(n, r, j_max, start)
+
+    monkeypatch.setattr(distribution, "_first_kind_prefix_scaled", counted)
+    with fresh_cache(), distribution._cache_lock:
+        distribution._prefix(500, HALF, 30)
+        distribution._prefix(480, HALF, 30)  # no lower row: from row 0
+        distribution._prefix(520, HALF, 30)  # one call, the factors 500..519 only
+        assert calls == [(500, 30, 0), (480, 30, 0), (520, 30, 500)]
+        b = distribution._prefix(520, HALF, 30)
+        distribution._prefix(530, F(1, 3), 30)  # another r: from row 0
+        distribution._prefix(540, HALF, 31)  # no cached row of width 31: from row 0
+        assert calls[3:] == [(530, 30, 0), (540, 31, 0)]
+        third = F(1, 3)
+        short = distribution._prefix(40, third, 39)  # row 40 less its last entry
+        full = distribution._prefix(45, third, 50)  # so not a full row: from row 0
+        wide = distribution._prefix(47, third, 47)  # the full row 45 covers any width
+        assert calls[5:] == [(40, 39, 0), (45, 50, 0), (47, 47, 45)]
+    assert b == kernel(520, HALF, 30)
+    assert (short, full, wide) == (kernel(40, third, 39), kernel(45, third, 45), kernel(47, third, 47))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stepped_prefixes_equal_fresh_kernel_runs(seed):
+    """Seeded request sequences through the cache, each answer against a
+    kernel run from row 0: runs of nearby n with jumps between them, four
+    r, narrow and wide windows (so sources are both wider and narrower than
+    the request), full rows and widths past n, and on odd seeds a budget
+    that evicts sources mid-sequence."""
+    rng = np.random.default_rng(seed)
+    kernel = distribution._first_kind_prefix_scaled
+    budget = 50_000 if seed % 2 else None
+    starts = []
+
+    def spy(n, r, j_max, start):
+        starts.append(start[0])
+        return kernel(n, r, j_max, start)
+
+    evicted = 0
+    with fresh_cache(budget) as cache, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distribution, "_first_kind_prefix_scaled", spy)
+        n = int(rng.integers(1, 601))
+        for _ in range(60):
+            r = (F(0), HALF, F(7, 3), F(5, 4))[rng.integers(4)]
+            n = int(rng.integers(1, 601)) if rng.integers(4) == 0 else int(np.clip(n + rng.integers(-30, 31), 1, 600))
+            widths = [rng.integers(0, 12), rng.integers(0, 60)] + ([n, n + 5] if n <= 200 else [])
+            j_max = int(widths[rng.integers(len(widths))])
+            before = set(cache._entries)
+            with distribution._cache_lock:
+                b = distribution._prefix(n, r, j_max)
+            evicted += len(before - set(cache._entries))
+            assert len(b) > min(j_max, n)
+            assert b[: j_max + 1] == kernel(n, r, j_max)
+    assert any(starts) and 0 in starts  # both stepped and fresh runs happened
+    assert (evicted > 0) == (budget is not None)
 
 
 def test_cache_stays_under_a_small_budget():
