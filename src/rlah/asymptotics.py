@@ -17,7 +17,8 @@ mod-Poisson residual, tail ratios) compare those predictions against the
 certified prefix of the support (see :func:`rlah.distribution.pmf_head`):
 the distributions concentrate around lambda_n ~ log n, so a window of a
 hundred-odd support points carries all mass that matters, and exact upper
-tails come from complementing the head CDF.
+tails come from complementing the head CDF.  The window rule and its work
+bound live in :mod:`rlah.distribution`.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
-from .distribution import AdmissibleTriple, PmfHead, mode_exact, pmf_head
-from .errors import CapacityExceeded, DomainError, InvalidParameter
+from .distribution import AdmissibleTriple, _head_window, mode_exact, pmf_head
+from .errors import DomainError, InvalidParameter
 from .rational import RationalLike, as_rational
-
-_HEAD_COST_CAP = 40_000_000  # j_hi * n guard for the exact-window path
 
 
 # -- real special functions ---------------------------------------------------
@@ -206,25 +205,6 @@ def ldp_lower_tail(n: int, k: int, r: float, x: float) -> float:
 
 # -- exact-window convergence statistics ---------------------------------------
 
-def _head_for(n: int, k: int, r: Fraction, z_max: float = 0.0) -> PmfHead:
-    """Exact PMF head sized to carry all mass of e^{z X} weights up to z_max.
-
-    The tilted distribution concentrates near e^z * lambda_n, so the window
-    end is pushed 14 standard deviations past that and rounded up for cache
-    reuse.  Guarded by a work cap, since cost is O(j_hi * n) big-int ops.
-    """
-    AdmissibleTriple(n, k, r)  # before lambda_n, which a negative k + r breaks
-    lam = lambda_n(max(n, 2), k, float(r))
-    center = math.exp(max(z_max, 0.0)) * lam
-    j_hi = int(math.ceil(center + 14.0 * math.sqrt(center + 4.0))) + 16
-    j_hi = min(n, ((j_hi // 32) + 1) * 32)
-    if j_hi * n > _HEAD_COST_CAP:
-        raise CapacityExceeded(
-            f"exact head window {j_hi} x n={n} exceeds the work cap; reduce n or z"
-        )
-    return pmf_head(n, k, r, j_hi)
-
-
 def kolmogorov_distance(
     n: int, k: int, r: RationalLike, *, continuity_correction: bool = True
 ) -> float:
@@ -237,7 +217,7 @@ def kolmogorov_distance(
     (left limits included), which is larger by roughly half the mode mass.
     """
     r = as_rational(r)
-    head = _head_for(n, k, r)
+    head = pmf_head(n, k, r, _head_window(n, k, r))
     shift = 0.5 if continuity_correction else 0.0
     best = 0.0
     cdf = 0.0
@@ -257,7 +237,7 @@ def kolmogorov_distance(
 def llt_sup_gap(n: int, k: int, r: RationalLike) -> float:
     """sqrt(log n) * sup_j |P[X = j] - Gaussian local approximant(j)|."""
     r = as_rational(r)
-    head = _head_for(n, k, r)
+    head = pmf_head(n, k, r, _head_window(n, k, r))
     best = 0.0
     for j in range(k, head.j_hi + 1):
         gap = abs(head.pmf_float(j) - llt_gaussian_pmf(j, n, k, float(r)))
@@ -274,8 +254,7 @@ def _log_mgf_exact(n: int, k: int, r: Fraction, z: float) -> float:
     the window edge the remainder is dominated by a geometric series; the
     window is grown until that bound is 1e-12-negligible.
     """
-    z_size = max(z, 0.0)
-    head = _head_for(n, k, r, z_size)
+    head = pmf_head(n, k, r, _head_window(n, k, r, z))
     while True:
         terms = [z * j + head.log_pmf(j) for j in range(k, head.j_hi + 1)]
         top = max(terms)
@@ -325,7 +304,7 @@ def ldp_tail_ratio(n: int, k: int, r: RationalLike, x: float) -> Tuple[float, fl
     approximant that underflows to 0 raises DomainError."""
     r = as_rational(r)
     j, _ = ldp_lattice_point(n, k, float(r), x)
-    head = _head_for(n, k, r, math.log(max(x, 1.0)) + 0.1)
+    head = pmf_head(n, k, r, _head_window(n, k, r, math.log(max(x, 1.0)) + 0.1))
     if x > 1:
         exact = float(head.upper_tail(j))
         approx = ldp_upper_tail(n, k, float(r), x)

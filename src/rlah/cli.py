@@ -24,10 +24,17 @@ from typing import IO, List, Sequence
 
 from . import asymptotics, cones, distribution, montecarlo, stirling
 from .errors import CapacityExceeded, InvalidParameter, RLahError
-from .rational import as_rational, format_rational
+from .rational import as_rational, check_decimal_digits, format_rational
+
+
+def _check_ints(rows: List[dict]) -> None:
+    """Refuse, before anything is written, an int that ``str`` cannot render."""
+    for value in (v for row in rows for v in row.values() if isinstance(v, int)):
+        check_decimal_digits(value)
 
 
 def _emit_rows(out: IO[str], fmt: str, fieldnames: Sequence[str], rows: List[dict]) -> None:
+    _check_ints(rows)
     if fmt == "json":
         out.write(json.dumps({"rows": rows}, sort_keys=True))
         out.write("\n")
@@ -38,6 +45,7 @@ def _emit_rows(out: IO[str], fmt: str, fieldnames: Sequence[str], rows: List[dic
 
 
 def _emit_record(out: IO[str], fmt: str, record: dict) -> None:
+    _check_ints([record])
     if fmt == "json":
         out.write(json.dumps(record, sort_keys=True))
         out.write("\n")

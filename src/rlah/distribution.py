@@ -22,7 +22,9 @@ nearby n share their kernel work.
 
 ``pmf_head`` is a view of a row's prefix {k, ..., j_hi}, at O(j_hi * n)
 big-integer work, which is what makes exact tail sums, CDF heads and modes
-reachable at n = 10^4.  ``build_distribution`` returns the same view at full
+reachable at n = 10^4.  One rule sizes every certified window
+(``_head_window``), and ``pmf_head`` refuses a window whose j_hi * n passes
+``_HEAD_COST_CAP``.  ``build_distribution`` returns the same view at full
 width: ``LahDistribution`` is the ``PmfHead`` with j_hi = n, and its
 moments, parity split, mode and log-concavity are integer sums and
 comparisons over den.  CDF values, tails and floats are read off the sums,
@@ -45,18 +47,16 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from .errors import InadmissibleParameters, InvalidParameter
+from .errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
 from .rational import (
     RationalLike,
     as_rational,
-    check_decimal_digits,
     format_rational,  # unused here, but rlahbench/tracing.py wraps rlah.distribution.format_rational
 )
 from .stirling import (
     _first_kind_prefix_scaled,
     _second_kind_column_scaled,
     check_n_max,
-    factorial,
     gen_binomial,
     harmonic_diff,
     lah_r,
@@ -117,12 +117,13 @@ def pgf_eval(params: AdmissibleTriple, t: RationalLike) -> Fraction:
     for m in range(k + 1):
         a = a0 + m * c
         total += (-1) ** (k - m) * math.comb(k, m) * math.prod(range(a, a + n * b, b))
-    return Fraction(total, b ** n * factorial(n)) / gen_binomial(n + 2 * r - 1, n - k)
+    return Fraction(total, b ** n * math.factorial(n)) / gen_binomial(n + 2 * r - 1, n - k)
 
 
 # -- exact prefix of the PMF for large n --------------------------------------
 
 _CACHE_BUDGET_BYTES = 64 * 2**20  # head rows and first-kind prefixes together
+_HEAD_COST_CAP = 40_000_000  # j_hi * n bound on the work of one PMF head
 
 
 class _ByteLRU:
@@ -372,9 +373,7 @@ class LahDistribution(PmfHead):
 
     def mode(self) -> Set[int]:
         """All maximizers of the PMF; log-concavity makes them 1 or 2 adjacent ints."""
-        weights = self._weights()
-        best = max(weights)
-        return {j for j, w in zip(self.support, weights) if w == best}
+        return mode_exact(self.params.n, self.params.k, self.params.r)
 
     def certify_log_concavity(self) -> Tuple[bool, int | None]:
         """Check w[i]^2 >= w[i-1]*w[i+1] on the interior (the PMF scaled by
@@ -408,16 +407,10 @@ class LahDistribution(PmfHead):
         rows = []
         for j, w, c in zip(self.support, self._weights(), head.cum):
             p = Fraction(w, head.den)
-            row = {
-                "j": j,
-                "pmf_num": check_decimal_digits(p.numerator),
-                "pmf_den": check_decimal_digits(p.denominator),
-                "pmf_float": float(p),
-            }
+            row = {"j": j, "pmf_num": p.numerator, "pmf_den": p.denominator, "pmf_float": float(p)}
             if include_cdf:
                 c = Fraction(c, head.den)
-                row["cdf_num"] = check_decimal_digits(c.numerator)
-                row["cdf_den"] = check_decimal_digits(c.denominator)
+                row["cdf_num"], row["cdf_den"] = c.numerator, c.denominator
             rows.append(row)
         return rows
 
@@ -439,35 +432,47 @@ def _pmf_head_cached(n: int, k: int, r: Fraction, j_hi: int) -> PmfHead:
     return PmfHead(AdmissibleTriple(n, k, r), j_hi)
 
 
+def _head_window(n: int, k: int, r: RationalLike, z: float = 0.0) -> int:
+    """End j_hi of the certified window for e^{zX} weights, z >= 0: 14
+    standard deviations past e^z lambda_n, lambda_n = (k+r) log n, plus 16,
+    rounded up to a multiple of 32 for reuse, and clamped to n."""
+    r = AdmissibleTriple(n, k, r).r  # before the log, which a negative k + r breaks
+    try:
+        center = math.exp(max(z, 0.0)) * ((k + float(r)) * math.log(max(n, 2)))
+        j_hi = int(math.ceil(center + 14.0 * math.sqrt(center + 4.0))) + 16
+    except OverflowError:  # the center is past binary64, so past n
+        return n
+    return min(n, ((j_hi // 32) + 1) * 32)
+
+
 def pmf_head(n: int, k: int, r: RationalLike, j_hi: int) -> PmfHead:
     """Exact PMF prefix on {k, ..., j_hi}; j_hi is clamped to n.
 
-    Unlike :func:`build_distribution` this neither covers the whole support
-    nor caps n: cost is O(j_hi * n) big-integer operations, fine at n = 10^4
-    for the j_hi ~ 100 these distributions concentrate under.  Windows of
-    one (n, k, r) share one row, and every k at one (n, r) shares one
-    first-kind prefix.
+    Unlike :func:`build_distribution` this does not cover the whole support
+    and takes no row cap: cost is O(j_hi * n) big-integer operations, and a
+    window with j_hi * n past ``_HEAD_COST_CAP`` raises CapacityExceeded
+    before any kernel runs.  Windows of one (n, k, r) share one row, and
+    every k at one (n, r) shares one first-kind prefix.
     """
     r = as_rational(r)
     params = AdmissibleTriple(n, k, r)  # validate eagerly
     j_hi = min(j_hi, n)
     if j_hi < k:
         raise InvalidParameter(f"j_hi={j_hi} is below the support start k={k}")
+    if j_hi * n > _HEAD_COST_CAP:
+        raise CapacityExceeded(f"exact head window {j_hi} x n={n} exceeds the work cap; reduce n or z")
     return _pmf_head_cached(params.n, params.k, params.r, j_hi)
 
 
 def mode_exact(n: int, k: int, r: RationalLike) -> Set[int]:
     """Exact argmax set of the PMF, computed on a certified prefix.
 
-    The head is grown until the (strictly log-concave) weight sequence is
-    decreasing at the right edge, which certifies that no maximizer lies
-    beyond the window.  Works at n far past the exact-table cap.  The
-    weights share one denominator, so they are compared as integers.
+    The head starts at :func:`_head_window` and grows until the (strictly
+    log-concave) weights decrease at its right edge, which certifies that no
+    maximizer lies beyond it.  The weights share one denominator, so they
+    are compared as integers.
     """
-    r = as_rational(r)
-    params = AdmissibleTriple(n, k, r)
-    lam = (k + float(r)) * math.log(max(n, 2))
-    j_hi = max(min(n, int(math.ceil(lam + 8 * math.sqrt(lam + 4))) + 16), k + 2)
+    j_hi = _head_window(n, k, r)
     while True:
         head = pmf_head(n, k, r, j_hi)
         w = head._weights()
@@ -475,4 +480,4 @@ def mode_exact(n: int, k: int, r: RationalLike) -> Set[int]:
             break
         j_hi = min(n, 2 * j_hi)
     best = max(w)
-    return {j + params.k for j, v in enumerate(w) if v == best}
+    return {j + k for j, v in enumerate(w) if v == best}

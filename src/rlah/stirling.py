@@ -15,7 +15,8 @@ recurrence in n.  ``stirling_r`` reads one entry from them; the PMF rows of
 boundary.
 
 ``check_n_max`` is the one row-cap check: n may not exceed an explicit
-``n_max``, else ``$RLAH_N_MAX``, else 4096.  PMF heads take no cap.
+``n_max``, else ``$RLAH_N_MAX``, else 4096.  PMF heads take no row cap;
+their work is bounded by j_hi * n in :func:`rlah.distribution.pmf_head`.
 
 ``RStirlingTable`` fills the whole triangle of one kind by the recurrences
 above, in Fractions.  No production path reads it; the tests' oracles
@@ -29,7 +30,6 @@ import math
 import os
 import threading
 from fractions import Fraction
-from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from .errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
@@ -37,8 +37,6 @@ from .rational import RationalLike, as_rational
 
 DEFAULT_N_MAX = 4096
 _N_MAX_ENV = "RLAH_N_MAX"
-
-factorial = lru_cache(maxsize=None)(math.factorial)
 
 
 class StirlingKind(enum.Enum):
@@ -184,7 +182,7 @@ def lah_r(n: int, k: int, r: RationalLike, *, n_max: int | None = None) -> Fract
     r = as_rational(r)
     _check_admissible(n, k, r)
     check_n_max(n, n_max)
-    return gen_binomial(n + 2 * r - 1, n - k) * factorial(n) / factorial(k)
+    return gen_binomial(n + 2 * r - 1, n - k) * math.factorial(n) / math.factorial(k)
 
 
 def harmonic_diff(alpha: RationalLike, m: int) -> Fraction:

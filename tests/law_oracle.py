@@ -50,7 +50,6 @@ from rlah.stirling import (
     _check_r,
     _first_kind_prefix_scaled,
     check_n_max,
-    factorial,
     harmonic_diff,
     stirling_r,
 )
@@ -165,7 +164,7 @@ def alternating_stirling_sum(n: int, d: int, k: int, *, n_max: int | None = None
 
 def expected_face_count_alt(q: ConeFaceQuery, *, n_max: int | None = None) -> Fraction:
     """E[f_k] = (2 k!/n!) * the alternating Stirling sum."""
-    return 2 * factorial(q.k) * alternating_stirling_sum(q.n, q.d, q.k, n_max=n_max) / factorial(q.n)
+    return 2 * math.factorial(q.k) * alternating_stirling_sum(q.n, q.d, q.k, n_max=n_max) / math.factorial(q.n)
 
 
 # -- binary64 log-space PMF row -------------------------------------------------------

@@ -309,12 +309,25 @@ def test_huge_rational_literal_is_refused_at_once(capsys):
         ("recovery", "--d", "18", "--n", "2500", "--k", "3"),
         ("pmf", "--n", "1500", "--k", "1", "--r", "1/2"),
         ("stats", "--n", "4096", "--k", "1", "--r", "1/2"),  # refused before the row is built
+        ("faces", "--d", "6", "--n", "3000", "--k", "1"),
+        ("--format", "json", "faces", "--d", "6", "--n", "3000", "--k", "1"),
+        ("faces", "--d-range", "2:6", "--n-range", "3000:3000", "--k", "1"),
     ],
 )
 def test_output_past_the_int_to_str_limit_exits_3(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 3
+    assert out.count("\n") == 1  # the error record alone: no header or rows before it
     assert json.loads(out)["kind"] == "CapacityExceeded"
+
+
+def test_asymptotics_past_the_head_work_cap_exits_3(capsys):
+    code, out = run_cli(capsys, "asymptotics", "--n", "400000", "--k", "1", "--r", "1/2")
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "exact head window 128 x n=400000 exceeds the work cap; reduce n or z",
+        "kind": "CapacityExceeded",
+    }
 
 
 @pytest.mark.parametrize(
@@ -341,6 +354,13 @@ def test_asymptotics_overflow_inputs(capsys, extra, code_want):
     assert rows and all(math.isfinite(float(v)) for row in rows for v in row[2:])
     if "--x" in extra:  # no --x here has a usable lattice point and approximant
         assert not any(row[1].startswith("ldp_tail") for row in rows)
+
+
+def test_asymptotics_tail_window_past_binary64(capsys):
+    # x * lambda_n is finite at n = 2, r = 0, but the window's e^z is not
+    code, out = run_cli(capsys, "asymptotics", "--n", "2", "--k", "1", "--r", "0", "--x", "1.7e308")
+    assert code == 0
+    assert not any(line.split(",")[1].startswith("ldp_tail") for line in out.strip().splitlines()[1:])
 
 
 # -- fuzzing the exit-code contract ------------------------------------------------

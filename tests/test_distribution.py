@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import json
 import math
+import time
 from fractions import Fraction as F
 from itertools import accumulate
 
@@ -364,7 +365,44 @@ def test_mode_exact_matches_distribution(r):
     for n, k in ((25, 1), (60, 2), (120, 0), (7, 7)):
         if k == 0 and r == 0:
             continue
-        assert mode_exact(n, k, r) == dist(n, k, r).mode()
+        d = dist(n, k, r)
+        best = max(d.pmf(j) for j in d.support)
+        assert mode_exact(n, k, r) == {j for j in d.support if d.pmf(j) == best}
+
+
+@pytest.mark.parametrize(
+    "n,k,r,z,j_hi",
+    [
+        (300, 1, HALF, 0.0, 96),
+        (3000, 1, HALF, 0.3, 128),
+        (3000, 1, HALF, 1.0, 160),
+        (10**4, 2, F(0), 0.0, 128),
+        (10**4, 1, HALF, math.log(2) + 0.1, 160),
+        (40, 1, HALF, 0.0, 40),  # clamped to n
+        (7, 0, F(1000), 0.0, 7),
+        (2, 1, F(0), 710.0, 2),  # e^z overflows binary64: the whole support
+    ],
+)
+def test_head_window_golden(n, k, r, z, j_hi):
+    assert distribution._head_window(n, k, r, z) == j_hi
+
+
+def test_pmf_head_past_the_work_cap_raises_before_any_kernel_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(distribution, "_first_kind_prefix_scaled", lambda *args: calls.append(args))
+    n = 400_000
+    j_hi = distribution._HEAD_COST_CAP // n + 1
+    with fresh_cache(), pytest.raises(CapacityExceeded) as info:
+        pmf_head(n, 1, HALF, j_hi)
+    assert str(info.value) == f"exact head window {j_hi} x n={n} exceeds the work cap; reduce n or z"
+    assert calls == []
+
+
+def test_mode_exact_past_the_work_cap_is_refused_at_once():
+    start = time.perf_counter()
+    with pytest.raises(CapacityExceeded):
+        mode_exact(400_000, 1, HALF)
+    assert time.perf_counter() - start < 0.3
 
 
 # -- property test -------------------------------------------------------------------
