@@ -27,10 +27,11 @@ import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
-from .distribution import AdmissibleTriple, _head_window, mode_exact, pmf_head
+from .distribution import DEFAULT_ZS, AdmissibleTriple, _window_head, mode_exact, pmf_head
 from .errors import DomainError, InvalidParameter
 from .rational import RationalLike, as_rational
 
+DEFAULT_XS = (2.0, 0.5)  # large-deviation points of the default convergence study
 
 # -- real special functions ---------------------------------------------------
 
@@ -217,7 +218,7 @@ def kolmogorov_distance(
     (left limits included), which is larger by roughly half the mode mass.
     """
     r = as_rational(r)
-    head = pmf_head(n, k, r, _head_window(n, k, r))
+    head = _window_head(n, k, r)
     shift = 0.5 if continuity_correction else 0.0
     best = 0.0
     cdf = 0.0
@@ -237,7 +238,7 @@ def kolmogorov_distance(
 def llt_sup_gap(n: int, k: int, r: RationalLike) -> float:
     """sqrt(log n) * sup_j |P[X = j] - Gaussian local approximant(j)|."""
     r = as_rational(r)
-    head = pmf_head(n, k, r, _head_window(n, k, r))
+    head = _window_head(n, k, r)
     best = 0.0
     for j in range(k, head.j_hi + 1):
         gap = abs(head.pmf_float(j) - llt_gaussian_pmf(j, n, k, float(r)))
@@ -254,7 +255,7 @@ def _log_mgf_exact(n: int, k: int, r: Fraction, z: float) -> float:
     the window edge the remainder is dominated by a geometric series; the
     window is grown until that bound is 1e-12-negligible.
     """
-    head = pmf_head(n, k, r, _head_window(n, k, r, z))
+    head = _window_head(n, k, r, z)
     while True:
         terms = [z * j + head.log_pmf(j) for j in range(k, head.j_hi + 1)]
         top = max(terms)
@@ -304,7 +305,7 @@ def ldp_tail_ratio(n: int, k: int, r: RationalLike, x: float) -> Tuple[float, fl
     approximant that underflows to 0 raises DomainError."""
     r = as_rational(r)
     j, _ = ldp_lattice_point(n, k, float(r), x)
-    head = pmf_head(n, k, r, _head_window(n, k, r, math.log(max(x, 1.0)) + 0.1))
+    head = _window_head(n, k, r, math.log(max(x, 1.0)) + 0.1)
     if x > 1:
         exact = float(head.upper_tail(j))
         approx = ldp_upper_tail(n, k, float(r), x)
@@ -323,8 +324,8 @@ def convergence_table(
     k: int,
     r: RationalLike,
     *,
-    zs: Iterable[float] = (-0.5, 0.3, 1.0),
-    ldp_xs: Iterable[float] = (2.0, 0.5),
+    zs: Iterable[float] = DEFAULT_ZS,
+    ldp_xs: Iterable[float] = DEFAULT_XS,
 ) -> List[dict]:
     """Rows (n, statistic, exact, approximant, gap) for convergence studies."""
     r = as_rational(r)

@@ -140,8 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=str, required=True, help="comma-separated n grid, e.g. 100,1000")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=str, required=True)
-    p.add_argument("--z", type=str, default="-0.5,0.3,1.0", help="mod-Poisson evaluation points")
-    p.add_argument("--x", type=str, default="2.0,0.5", help="large-deviation tail points")
+    p.add_argument("--z", type=str, default=",".join(map(str, asymptotics.DEFAULT_ZS)),
+                   help="mod-Poisson evaluation points")
+    p.add_argument("--x", type=str, default=",".join(map(str, asymptotics.DEFAULT_XS)),
+                   help="large-deviation tail points")
 
     p = sub.add_parser("faces", help="expected face counts over a (d, n) grid")
     p.add_argument("--d-range", type=str, help="d grid as lo:hi (or a single value)")
@@ -192,6 +194,9 @@ def _run(args: argparse.Namespace, out: IO[str]) -> None:
 
     elif args.command == "pmf":
         params = distribution.AdmissibleTriple(args.n, args.k, as_rational(args.r))
+        top = stirling.stirling_r(stirling.StirlingKind.SECOND, params.n, params.k, params.r, n_max=args.n_max)
+        top /= stirling.lah_r(params.n, params.k, params.r, n_max=args.n_max)  # P[X = n], the last row
+        _check_ints([{"pmf_num": top.numerator, "pmf_den": top.denominator}])  # refused before the table
         dist = distribution.build_distribution(params, n_max=args.n_max)
         fields = ["j", "pmf_num", "pmf_den", "pmf_float"]
         if args.cdf:

@@ -24,14 +24,17 @@ nearby n share their kernel work.
 big-integer work, which is what makes exact tail sums, CDF heads and modes
 reachable at n = 10^4.  One rule sizes every certified window
 (``_head_window``), and ``pmf_head`` refuses a window whose j_hi * n passes
-``_HEAD_COST_CAP``.  ``build_distribution`` returns the same view at full
-width: ``LahDistribution`` is the ``PmfHead`` with j_hi = n, and its
-moments, parity split, mode and log-concavity are integer sums and
-comparisons over den.  CDF values, tails and floats are read off the sums,
-and a Fraction is built only at the API boundary.  The generating function
-is evaluated by its closed alternating sum (``pgf_eval``), in integers.
-Rows and prefixes share one byte budget, ``_CACHE_BUDGET_BYTES``, and the
-least recently used are evicted first.
+``_HEAD_COST_CAP``.  The limit statistics take their first head from
+``_window_head``, which floors the width of a prefix run at the default
+study's widest window, so one (n, k, r) study runs the kernel once.
+``build_distribution`` returns the same view at full width: a
+``LahDistribution`` is the ``PmfHead`` with j_hi = n, whose moments, parity
+split, mode and log-concavity are integer sums and comparisons over den.
+CDF values, tails and floats are read off the sums, and a Fraction is built
+only at the API boundary.  The generating function is evaluated by its
+closed alternating sum (``pgf_eval``), in integers.  Rows and prefixes
+share one byte budget, ``_CACHE_BUDGET_BYTES``, and the least recently used
+are evicted first.
 """
 
 from __future__ import annotations
@@ -124,6 +127,7 @@ def pgf_eval(params: AdmissibleTriple, t: RationalLike) -> Fraction:
 
 _CACHE_BUDGET_BYTES = 64 * 2**20  # head rows and first-kind prefixes together
 _HEAD_COST_CAP = 40_000_000  # j_hi * n bound on the work of one PMF head
+DEFAULT_ZS = (-0.5, 0.3, 1.0)  # mod-Poisson points of the default convergence study
 
 
 class _ByteLRU:
@@ -182,17 +186,19 @@ _cache = _ByteLRU()
 _cache_lock = threading.Lock()
 
 
-def _prefix(n: int, r: Fraction, j_max: int) -> List[int]:
+def _prefix(n: int, r: Fraction, j_max: int, size: int = 0) -> List[int]:
     """Scaled first-kind prefix b[0..j_max] of row n, shared by every k.
 
     A cached prefix of row m covers a width w = min(j_max, n) when it has
     more than w entries or is the full row (m + 1 entries).  Row n is
     computed only when its cached prefix does not cover the request, and
-    then at no less than twice the cached width, so a run of widening
-    windows costs a bounded multiple of the widest.  The kernel steps up
-    from the largest cached row m < n of the same r that covers the width,
-    multiplying in only the factors m..n-1, so rows of one r at nearby n
-    share their work.  The caller holds ``_cache_lock``.
+    then at no less than twice the cached width or ``size``, so a run of
+    widening windows costs a bounded multiple of the widest; the one caller
+    with a ``size``, :func:`_window_head`, passes the default study's widest
+    window.  The kernel steps up from the largest cached row m < n of the
+    same r that covers the width, multiplying in only the factors m..n-1,
+    so rows of one r at nearby n share their work.  The caller holds
+    ``_cache_lock``.
     """
 
     def covers(m: int, s: List[int], width: int) -> bool:
@@ -201,8 +207,7 @@ def _prefix(n: int, r: Fraction, j_max: int) -> List[int]:
     key = ("prefix", n, r)
     b = _cache.get(key)
     if b is None or not covers(n, b, min(j_max, n)):
-        if b is not None:
-            j_max = max(j_max, 2 * (len(b) - 1))
+        j_max = max(j_max, size, 2 * (len(b) - 1) if b is not None else 0)
         width = min(j_max, n)
         start = (0, (1,))
         for (kind, m, rr, *_), (s, _) in _cache._entries.items():  # a peek: LRU order stays
@@ -213,8 +218,8 @@ def _prefix(n: int, r: Fraction, j_max: int) -> List[int]:
     return b
 
 
-def _head_row(n: int, k: int, r: Fraction, j_hi: int) -> _HeadRow:
-    """The cached row of (n, k, r), grown to cover j_hi <= n."""
+def _head_row(n: int, k: int, r: Fraction, j_hi: int, size: int = 0) -> _HeadRow:
+    """The cached row of (n, k, r), grown to cover j_hi <= n; ``size`` as in :func:`_prefix`."""
     key = ("head", n, k, r)
     with _cache_lock:
         row = _cache.get(key)
@@ -224,7 +229,7 @@ def _head_row(n: int, k: int, r: Fraction, j_hi: int) -> _HeadRow:
             row = _HeadRow(k, den.numerator)
         top = k + len(row.cum) - 1
         if j_hi > top:
-            b = _prefix(n, r, j_hi)
+            b = _prefix(n, r, j_hi, size)
             t = _second_kind_column_scaled(k, r, j_hi)
             acc = row.cum[-1] if row.cum else 0
             for j in range(top + 1, j_hi + 1):
@@ -464,20 +469,29 @@ def pmf_head(n: int, k: int, r: RationalLike, j_hi: int) -> PmfHead:
     return _pmf_head_cached(params.n, params.k, params.r, j_hi)
 
 
+def _window_head(n: int, k: int, r: Fraction, z: float = 0.0) -> PmfHead:
+    """``pmf_head`` on the window of e^{zX} weights, the first head of every
+    limit statistic.  A kernel run it starts is as wide as the window at
+    z = max(DEFAULT_ZS), within the work cap: a default study runs it once."""
+    j_hi = _head_window(n, k, r, z)  # validates (n, k, r)
+    if j_hi * n <= _HEAD_COST_CAP:  # else pmf_head refuses it before any run
+        _head_row(n, k, r, j_hi, min(_head_window(n, k, r, max(DEFAULT_ZS)), _HEAD_COST_CAP // n))
+    return pmf_head(n, k, r, j_hi)
+
+
 def mode_exact(n: int, k: int, r: RationalLike) -> Set[int]:
     """Exact argmax set of the PMF, computed on a certified prefix.
 
-    The head starts at :func:`_head_window` and grows until the (strictly
+    The head starts at :func:`_window_head` and grows until the (strictly
     log-concave) weights decrease at its right edge, which certifies that no
     maximizer lies beyond it.  The weights share one denominator, so they
     are compared as integers.
     """
-    j_hi = _head_window(n, k, r)
+    head = _window_head(n, k, as_rational(r))
     while True:
-        head = pmf_head(n, k, r, j_hi)
         w = head._weights()
-        if j_hi >= n or (len(w) >= 2 and w[-1] < w[-2]):
+        if head.j_hi >= n or (len(w) >= 2 and w[-1] < w[-2]):
             break
-        j_hi = min(n, 2 * j_hi)
+        head = pmf_head(n, k, r, min(n, 2 * head.j_hi))
     best = max(w)
     return {j + k for j, v in enumerate(w) if v == best}

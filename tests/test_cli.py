@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import time
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rlah import distribution
 from rlah.cli import main
 
 
@@ -321,9 +323,24 @@ def test_output_past_the_int_to_str_limit_exits_3(capsys, argv):
     assert json.loads(out)["kind"] == "CapacityExceeded"
 
 
-def test_asymptotics_past_the_head_work_cap_exits_3(capsys):
+@pytest.mark.parametrize("cdf", [(), ("--cdf",)])
+def test_unprintable_pmf_is_refused_before_the_row(capsys, monkeypatch, cdf):
+    rows = []
+    monkeypatch.setattr(distribution, "_head_row", lambda *args: rows.append(args))
+    code, out = run_cli(capsys, "pmf", "--n", "1500", "--k", "1", "--r", "1/2", *cdf)
+    assert (code, rows) == (3, [])
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(out) == {
+        "error": f"exact output has more than {limit} decimal digits (the int-to-str limit)",
+        "kind": "CapacityExceeded",
+    }
+
+
+def test_asymptotics_past_the_head_work_cap_exits_3(capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(distribution, "_first_kind_prefix_scaled", lambda *args: runs.append(args))
     code, out = run_cli(capsys, "asymptotics", "--n", "400000", "--k", "1", "--r", "1/2")
-    assert code == 3
+    assert (code, runs) == (3, [])
     assert json.loads(out) == {
         "error": "exact head window 128 x n=400000 exceeds the work cap; reduce n or z",
         "kind": "CapacityExceeded",

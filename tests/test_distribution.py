@@ -22,6 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlah import distribution
+from rlah.asymptotics import (
+    DEFAULT_XS,
+    DEFAULT_ZS,
+    convergence_table,
+    kolmogorov_distance,
+    ldp_tail_ratio,
+    llt_sup_gap,
+    mod_poisson_residual,
+)
 from rlah.cli import main as cli_main
 from rlah.distribution import (
     AdmissibleTriple,
@@ -627,6 +636,71 @@ def test_cache_stays_under_a_small_budget():
                 want = [fresh.head_cdf(j) for j in range(k, 61)]
             assert [head.head_cdf(j) for j in range(k, 61)] == want
             assert cache.nbytes <= budget
+
+
+# -- one prefix-kernel run per (n, r) for the limit statistics -------------------------
+
+# a limit-sweep family: three (k, r) at two n, two of them sharing r = 1/2
+LIMIT_FAMILY = [(n, k, r) for n in (300, 1000) for k, r in ((1, HALF), (0, HALF), (2, F(0)))]
+
+
+def limit_statistics(n, k, r):
+    """Every statistic of the default convergence study at (n, k, r), each
+    as a thunk, in the order ``convergence_table`` calls them."""
+    return [
+        lambda: kolmogorov_distance(n, k, r),
+        lambda: kolmogorov_distance(n, k, r, continuity_correction=False),
+        lambda: llt_sup_gap(n, k, r),
+        *[lambda z=z: mod_poisson_residual(n, k, r, z) for z in DEFAULT_ZS],
+        lambda: mode_exact(n, k, r),
+        *[lambda x=x: ldp_tail_ratio(n, k, r, x) for x in DEFAULT_XS],
+    ]
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The (n, r) of every first-kind prefix kernel run."""
+    runs = []
+    kernel = distribution._first_kind_prefix_scaled
+
+    def counted(n, r, j_max, *start):
+        runs.append((n, r))
+        return kernel(n, r, j_max, *start)
+
+    monkeypatch.setattr(distribution, "_first_kind_prefix_scaled", counted)
+    return runs
+
+
+def test_limit_statistics_run_the_kernel_once_per_n_r(kernel_runs):
+    with fresh_cache():
+        family = [[repr(stat()) for stat in limit_statistics(*t)] for t in LIMIT_FAMILY]
+    assert sorted(kernel_runs) == sorted({(n, r) for n, _, r in LIMIT_FAMILY})
+    for t, values in zip(LIMIT_FAMILY, family):  # same bits alone, on a cold cache
+        for stat, value in zip(limit_statistics(*t), values):
+            with fresh_cache():
+                assert repr(stat()) == value
+
+
+def test_convergence_table_runs_the_kernel_once_per_n_r(kernel_runs):
+    with fresh_cache():
+        for k, r in ((1, HALF), (0, HALF), (2, F(0))):
+            convergence_table([300, 1000], k, r)
+    assert sorted(kernel_runs) == [(300, F(0)), (300, HALF), (1000, F(0)), (1000, HALF)]
+
+
+def test_a_statistic_whose_default_window_passes_the_cap_still_returns(monkeypatch, kernel_runs):
+    n, k, r = 300, 1, HALF
+    assert (distribution._head_window(n, k, r), distribution._head_window(n, k, r, max(DEFAULT_ZS))) == (96, 128)
+    monkeypatch.setattr(distribution, "_HEAD_COST_CAP", 100 * n)  # the 96-column window fits, the 128 does not
+    with fresh_cache() as cache:
+        # the values of ASYMPTOTICS_GOLDEN below, now from one run sized at the cap
+        assert kolmogorov_distance(n, k, r) == 0.1145645783959024
+        assert llt_sup_gap(n, k, r) == 0.08691924840582875
+        assert mode_exact(n, k, r) == {8}
+        assert len(cache.get(("prefix", n, r))) == 101
+        with pytest.raises(CapacityExceeded):
+            mod_poisson_residual(n, k, r, max(DEFAULT_ZS))
+    assert kernel_runs == [(n, r)]
 
 
 # -- byte-identical CLI output ---------------------------------------------------------
