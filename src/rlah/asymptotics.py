@@ -177,7 +177,8 @@ def ldp_lattice_point(n: int, k: int, r: float, x: float) -> Tuple[int, float]:
     return j, j / lam
 
 
-def _ldp_common(n: int, k: int, r: float, x: float) -> float:
+def ldp_point(n: int, k: int, r: float, x: float) -> float:
+    """Asymptotic P[X = (k+r) x_n log n] for x_n -> x > 0."""
     j, x_n = ldp_lattice_point(n, k, r, x)
     kr = k + float(r)
     exponent = -kr * (x_n * math.log(x_n) - x_n + 1.0) * math.log(n)
@@ -185,23 +186,18 @@ def _ldp_common(n: int, k: int, r: float, x: float) -> float:
     return math.exp(exponent) / math.sqrt(2.0 * math.pi * kr * x * math.log(n)) * gamma_ratio
 
 
-def ldp_point(n: int, k: int, r: float, x: float) -> float:
-    """Asymptotic P[X = (k+r) x_n log n] for x_n -> x > 0."""
-    return _ldp_common(n, k, r, x)
-
-
 def ldp_upper_tail(n: int, k: int, r: float, x: float) -> float:
     """Asymptotic P[X >= (k+r) x_n log n]; only valid for x > 1."""
     if x <= 1:
         raise DomainError(f"upper tail requires x > 1, got {x}")
-    return _ldp_common(n, k, r, x) * x / (x - 1.0)
+    return ldp_point(n, k, r, x) * x / (x - 1.0)
 
 
 def ldp_lower_tail(n: int, k: int, r: float, x: float) -> float:
     """Asymptotic P[X <= (k+r) x_n log n]; only valid for 0 < x < 1."""
     if not 0 < x < 1:
         raise DomainError(f"lower tail requires 0 < x < 1, got {x}")
-    return _ldp_common(n, k, r, x) / (1.0 - x)
+    return ldp_point(n, k, r, x) / (1.0 - x)
 
 
 # -- exact-window convergence statistics ---------------------------------------

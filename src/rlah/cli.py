@@ -205,7 +205,7 @@ def _run(args: argparse.Namespace, out: IO[str]) -> None:
 
     elif args.command == "stats":
         params = distribution.AdmissibleTriple(args.n, args.k, as_rational(args.r))
-        # the closed form refuses an unprintable normalizer before the row is built
+        # the closed form refuses an unprintable normalizer before any other work
         normalizer = format_rational(stirling.lah_r(params.n, params.k, params.r, n_max=args.n_max))
         dist = distribution.build_distribution(params, n_max=args.n_max)
         even, odd = dist.parity_probabilities()

@@ -27,14 +27,14 @@ reachable at n = 10^4.  One rule sizes every certified window
 ``_HEAD_COST_CAP``.  The limit statistics take their first head from
 ``_window_head``, which floors the width of a prefix run at the default
 study's widest window, so one (n, k, r) study runs the kernel once.
-``build_distribution`` returns the same view at full width: a
-``LahDistribution`` is the ``PmfHead`` with j_hi = n, whose moments, parity
-split, mode and log-concavity are integer sums and comparisons over den.
-CDF values, tails and floats are read off the sums, and a Fraction is built
-only at the API boundary.  The generating function is evaluated by its
-closed alternating sum (``pgf_eval``), in integers.  Rows and prefixes
-share one byte budget, ``_CACHE_BUDGET_BYTES``, and the least recently used
-are evicted first.
+``build_distribution`` checks the row cap and returns the view at full
+width, j_hi = n; its row is built on the first read that needs it (tables,
+CDF, sampling, log-concavity).  Mean, variance and parity split are closed
+forms and the mode is read on a window.  CDF values, tails and floats are
+read off the sums, and a Fraction is built only at the API boundary.  The
+generating function is evaluated by its closed alternating sum
+(``pgf_eval``), in integers.  Rows and prefixes share one byte budget,
+``_CACHE_BUDGET_BYTES``, and the least recently used are evicted first.
 """
 
 from __future__ import annotations
@@ -236,6 +236,8 @@ def _head_row(n: int, k: int, r: Fraction, j_hi: int, size: int = 0) -> _HeadRow
                 acc += b[j] * t[j]
                 row.cum.append(acc)
                 row.nbytes += sys.getsizeof(acc)
+            if j_hi == n and acc != row.den:
+                raise AssertionError("PMF does not sum to 1: the head row is broken")
             _cache.put(key, row, row.nbytes)
         return row
 
@@ -324,11 +326,11 @@ class LahDistribution(PmfHead):
     A view of the full-width head row of (n, k, r), j_hi = n, so that
     ``pmf``, ``cdf`` and the integer weights are read from the same cached
     row as every narrower head, over the one denominator
-    ``den = q^n L(n,k)_r``.  Moments, parity, mode and log-concavity are
-    integer sums and comparisons over ``den``; a Fraction is built per
-    read.  Like any head it holds no big integers, so the cache budget
-    bounds whole distributions too.  Use :func:`build_distribution` to
-    construct.
+    ``den = q^n L(n,k)_r``.  Mean, variance and parity split are closed
+    forms that read no row, the mode is ``mode_exact``'s window, and
+    log-concavity compares integer weights.  Like any head it holds no big
+    integers, so the cache budget bounds whole distributions too.  Use
+    :func:`build_distribution` to construct.
     """
 
     cdf = PmfHead.head_cdf  # the head covers n, so every j is answered
@@ -360,21 +362,37 @@ class LahDistribution(PmfHead):
         return expectation_exact(self.params.n, self.params.k, self.params.r)
 
     def variance(self) -> Fraction:
-        # no closed form exists; summation only: (den * sum j^2 w - (sum j w)^2) / den^2
-        first = second = 0
-        for j, w in zip(self.support, self._weights()):
-            first += j * w
-            second += j * j * w
-        den = self.den
-        return Fraction(den * second - first * first, den * den)
+        """P''(1) + P'(1) - P'(1)^2 from ``pgf_eval``'s sum at t = 1.  With
+        2r = a/s, term m is the product of x_l = a + s*l over l = m..m+n-1,
+        each of t-derivative w/2, w = a + 2s*m; so with d = sum (+-)C(k,m) e_n
+        over the windows, P'(1) = sum (+-)C w e_{n-1} / 2d and P''(1) =
+        sum (+-)C w^2 e_{n-2} / 2d.  The low coefficients of prod (y + x_l)
+        slide by an exact division by y + x_m and a product with y + x_{m+n}.
+        For r = 0, x_0 = 0 and term 0 is 0, so m starts at 1."""
+        n, k, r = self.params.n, self.params.k, self.params.r
+        a, s = (2 * r).numerator, (2 * r).denominator
+        m0 = 0 if r else 1
+        c = (-1) ** (k - m0) * math.comb(k, m0)
+        e = _first_kind_prefix_scaled(n, 2 * r + m0, 2) + [0]  # e_n, e_{n-1}, e_{n-2} (0 for n = 1)
+        f0, f1, f2 = (c * v for v in e[:3])
+        d = first = second = 0
+        for m in range(m0, k + 1):  # f_i = (-1)^(k-m) C(k,m) e_{n-i} of window m
+            w = a + 2 * s * m
+            d, first, second = d + f0, first + w * f1, second + w * w * f2
+            x, y = a + s * m, a + s * (m + n)
+            q0 = f0 // x
+            q1 = (f1 - q0) // x
+            q2 = (f2 - q1) // x
+            f0, f1, f2 = (-(k - m) * g // (m + 1) for g in (y * q0, q0 + y * q1, q1 + y * q2))
+        return Fraction(2 * d * (second + first) - first * first, 4 * d * d)
 
     # -- shape ---------------------------------------------------------------
 
     def parity_probabilities(self) -> Tuple[Fraction, Fraction]:
-        """(P[X even], P[X odd]); both equal 1/2 whenever n > k."""
-        weights = self._weights()
-        even = Fraction(sum(weights[(self.params.k % 2):: 2]), self.den)
-        return even, 1 - even
+        """(P[X even], P[X odd]): (1/2, 1/2) whenever n > k, as the paper
+        proves, and the point mass at k when n = k."""
+        odd = Fraction(1, 2) if self.params.n > self.params.k else Fraction(self.params.k % 2)
+        return 1 - odd, odd
 
     def mode(self) -> Set[int]:
         """All maximizers of the PMF; log-concavity makes them 1 or 2 adjacent ints."""
@@ -421,14 +439,11 @@ class LahDistribution(PmfHead):
 
 
 def build_distribution(params: AdmissibleTriple, *, n_max: int | None = None) -> LahDistribution:
-    """Materialize the exact r-Lah distribution: a view of the full head row
-    of (n, k, r), the same cached row that ``pmf_head`` windows grow."""
-    n = params.n
-    check_n_max(n, n_max)
-    row = _head_row(n, params.k, params.r, n)
-    if row.cum[-1] != row.den:
-        raise AssertionError("PMF does not sum to 1: the head row is broken")
-    return LahDistribution(params, n)
+    """The exact r-Lah distribution, after the row cap check: a lazy view of
+    the full head row of (n, k, r), the same cached row that ``pmf_head``
+    windows grow, built on the first read that needs it."""
+    check_n_max(params.n, n_max)
+    return LahDistribution(params, params.n)
 
 
 @lru_cache(maxsize=32)

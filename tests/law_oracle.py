@@ -8,6 +8,9 @@ way, so the tests can hold the two together:
   against :func:`rlah.stirling.stirling_r`'s integer slices;
 - E[X] by the second closed form (split into its k-part and r-part) and by
   the PMF sum, against :meth:`rlah.distribution.LahDistribution.expectation`;
+- Var X and the parity split (P[X even], P[X odd]) as PMF sums, against
+  the closed forms of :meth:`rlah.distribution.LahDistribution.variance`
+  and :meth:`~rlah.distribution.LahDistribution.parity_probabilities`;
 - the generating function as the PMF sum, against
   :func:`rlah.distribution.pgf_eval`'s alternating sum;
 - the face-ratio complement 2 P[Lah(n,k)_{1/2} in {d+1, d+3, ...}] summed
@@ -113,6 +116,22 @@ def expectation_alt(n: int, k: int, r: RationalLike) -> Fraction:
 def mean_via_pmf(dist: LahDistribution) -> Fraction:
     """E[X] as sum_j j w[j] / den over the integer weights."""
     return Fraction(sum(j * w for j, w in zip(dist.support, dist._weights())), dist.den)
+
+
+def variance_via_pmf(dist: LahDistribution) -> Fraction:
+    """Var X as (den * sum_j j^2 w[j] - (sum_j j w[j])^2) / den^2."""
+    first = second = 0
+    for j, w in zip(dist.support, dist._weights()):
+        first += j * w
+        second += j * j * w
+    den = dist.den
+    return Fraction(den * second - first * first, den * den)
+
+
+def parity_via_pmf(dist: LahDistribution) -> Tuple[Fraction, Fraction]:
+    """(P[X even], P[X odd]) as the sum of every other weight over den."""
+    even = Fraction(sum(dist._weights()[dist.params.k % 2:: 2]), dist.den)
+    return even, 1 - even
 
 
 def pgf_via_pmf(dist: LahDistribution, t: RationalLike) -> Fraction:

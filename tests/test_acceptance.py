@@ -44,7 +44,7 @@ from rlah.stirling import StirlingKind, lah_r, stirling_r
 
 import numpy as np
 
-from law_oracle import expectation_alt, mean_via_pmf, pgf_via_pmf, stirling_r_poly
+from law_oracle import expectation_alt, mean_via_pmf, parity_via_pmf, pgf_via_pmf, stirling_r_poly
 
 HALF = F(1, 2)
 R_GRID = [F(0), HALF, F(1), F(7, 3)]
@@ -93,7 +93,8 @@ def test_criterion_01_exact_identities():
         dist = build_distribution(AdmissibleTriple(n, k, r))
         if dist.cdf(n) != 1:
             failures.append(("normalization", n, k, r))
-        if k < n and dist.parity_probabilities() != (HALF, HALF):
+        parity = parity_via_pmf(dist)
+        if dist.parity_probabilities() != parity or (k < n and parity != (HALF, HALF)):
             failures.append(("parity", n, k, r))
         if not dist.expectation() == expectation_alt(n, k, r) == mean_via_pmf(dist):
             failures.append(("expectation", n, k, r))

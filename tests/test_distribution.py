@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import json
 import math
+import random
 import time
 from fractions import Fraction as F
 from itertools import accumulate
@@ -42,7 +43,15 @@ from rlah.distribution import (
 from rlah.errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
 from rlah.stirling import StirlingKind, stirling_r
 
-from law_oracle import expectation_alt, log_fraction, mean_via_pmf, pgf_via_pmf, table_for
+from law_oracle import (
+    expectation_alt,
+    log_fraction,
+    mean_via_pmf,
+    parity_via_pmf,
+    pgf_via_pmf,
+    table_for,
+    variance_via_pmf,
+)
 
 HALF = F(1, 2)
 
@@ -140,12 +149,10 @@ def test_expectation_values():
 # -- parity, mode, log-concavity -------------------------------------------------
 
 def test_parity_split():
-    assert dist(3, 1, HALF).parity_probabilities() == (HALF, HALF)
-    assert dist(2, 1, HALF).parity_probabilities() == (HALF, HALF)
-    even, odd = dist(6, 6, F(1)).parity_probabilities()
-    assert (even, odd) == (1, 0)
-    even, odd = dist(5, 5, F(1)).parity_probabilities()
-    assert (even, odd) == (0, 1)
+    cases = [(3, 1, HALF, (HALF, HALF)), (2, 1, HALF, (HALF, HALF)), (6, 6, F(1), (1, 0)), (5, 5, F(1), (0, 1))]
+    for n, k, r, want in cases:
+        d = dist(n, k, r)
+        assert d.parity_probabilities() == parity_via_pmf(d) == want
 
 
 @pytest.mark.parametrize("r", [F(0), HALF, F(1), F(7, 3)])
@@ -154,7 +161,25 @@ def test_parity_half_half_whenever_n_gt_k(r):
         for k in range(n):
             if k == 0 and r == 0:
                 continue
-            assert dist(n, k, r).parity_probabilities() == (HALF, HALF)
+            d = dist(n, k, r)
+            assert d.parity_probabilities() == parity_via_pmf(d) == (HALF, HALF)
+
+
+def test_variance_closed_form_matches_the_row_sum():
+    rng = random.Random(20261019)
+    cases = [(n, k, r) for n in (1, 2, 7) for k in (0, n) for r in (F(0), HALF, F(7, 3)) if k or r]
+    for _ in range(150):
+        n, r = rng.randint(1, 40), rng.choice((F(0), F(1, 3), HALF, F(1), F(5, 4), F(7, 3)))
+        cases.append((n, rng.randint(0 if r else 1, n), r))
+    for n, k, r in cases:
+        d = dist(n, k, r)
+        assert d.variance() == variance_via_pmf(d), (n, k, r)
+
+
+@pytest.mark.parametrize("k", [1, 700, 1390])
+def test_variance_closed_form_matches_the_row_sum_at_n_1400(k):
+    d = dist(1400, k, HALF)
+    assert d.variance() == variance_via_pmf(d)
 
 
 def test_mode_examples():
@@ -438,8 +463,9 @@ def test_distribution_invariants(triple):
     assert ok and witness is None
     m = sorted(d.mode())
     assert len(m) in (1, 2) and (len(m) == 1 or m[1] == m[0] + 1)
+    assert d.parity_probabilities() == parity_via_pmf(d)
     if n > k:
-        assert d.parity_probabilities() == (HALF, HALF)
+        assert parity_via_pmf(d) == (HALF, HALF)
 
 
 @given(triples())
@@ -701,6 +727,49 @@ def test_a_statistic_whose_default_window_passes_the_cap_still_returns(monkeypat
         with pytest.raises(CapacityExceeded):
             mod_poisson_residual(n, k, r, max(DEFAULT_ZS))
     assert kernel_runs == [(n, r)]
+
+
+def test_the_sum_check_fires_on_the_first_full_width_read(monkeypatch):
+    real = distribution._second_kind_column_scaled
+
+    def broken(k, r, j_max):
+        t = real(k, r, j_max)
+        t[-1] += 1
+        return t
+
+    monkeypatch.setattr(distribution, "_second_kind_column_scaled", broken)
+    n, k, r = 40, 2, HALF
+    with fresh_cache():
+        d = build_distribution(AdmissibleTriple(n, k, r))  # lazy: reads no row
+        assert pmf_head(n, k, r, 20).pmf(5) > 0  # a narrower read does not check the sum
+        with pytest.raises(AssertionError):
+            d.cdf(n)
+    with fresh_cache(), pytest.raises(AssertionError):
+        pmf_head(n, k, r, n)
+
+
+# stats stdout as the row-sum variance and parity printed it: (argv, stdout length, SHA-256)
+STATS_GOLDEN = [
+    ("stats --n 245 --k 2 --r 1/2", 1361, "f4ecd2224e169e1460f03db858edd685e679e8452d8bec1a60067b4eda233eae"),
+    ("stats --n 1400 --k 1 --r 1/2", 7640, "45b5a496f483b6ea43590295c9e1e3690a0bc64a7f2395052325cb0b92328f80"),
+]
+
+
+@pytest.mark.parametrize("argv, length, sha", STATS_GOLDEN)
+def test_stats_grows_no_row_to_full_width(monkeypatch, capsys, argv, length, sha):
+    reads = []
+    real = distribution._head_row
+
+    def spy(n, k, r, j_hi, size=0):
+        reads.append((n, j_hi))
+        return real(n, k, r, j_hi, size)
+
+    monkeypatch.setattr(distribution, "_head_row", spy)
+    with fresh_cache():
+        assert cli_main(argv.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (length, sha)
+    assert reads and all(j_hi < n for n, j_hi in reads)
 
 
 # -- byte-identical CLI output ---------------------------------------------------------
