@@ -306,7 +306,7 @@ def ldp_tail_ratio(n: int, k: int, r: RationalLike, x: float) -> Tuple[float, fl
         exact = float(head.upper_tail(j))
         approx = ldp_upper_tail(n, k, float(r), x)
     elif 0 < x < 1:
-        exact = float(head.lower_tail(j))
+        exact = float(head.head_cdf(j))
         approx = ldp_lower_tail(n, k, float(r), x)
     else:
         raise DomainError("x must differ from 1 for a tail ratio")

@@ -205,9 +205,9 @@ def _run(args: argparse.Namespace, out: IO[str]) -> None:
 
     elif args.command == "stats":
         params = distribution.AdmissibleTriple(args.n, args.k, as_rational(args.r))
-        # the closed form refuses an unprintable normalizer before any other work
-        normalizer = format_rational(stirling.lah_r(params.n, params.k, params.r, n_max=args.n_max))
         dist = distribution.build_distribution(params, n_max=args.n_max)
+        # the closed-form normalizer reads no row: an unprintable one is refused before any other work
+        normalizer = format_rational(dist.normalizer)
         even, odd = dist.parity_probabilities()
         mean, var = dist.expectation(), dist.variance()
         record = {

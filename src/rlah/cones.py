@@ -14,12 +14,12 @@ each (for n > k), the complement identity
 
     1 - E[f_k]/binom(n,k) = 2 P[Lah(n,k)_{1/2} in {d+1, d+3, ...}]
 
-holds exactly.  That probability is a head sum over the exact PMF, so it
-is the one route: E[f_k] is binom(n,k) times it, and the alternating
-Stirling sum above is the tests' oracle.  The same ratio is the probability
-of uniquely recovering a random k-jump monotone signal from d Gaussian
-measurements, which is what the threshold classifiers in this module are
-about.
+holds exactly.  That probability is one integer parity sum on the exact
+PMF head (``PmfHead.mass``), so it is the one route: E[f_k] is binom(n,k)
+times it, and the alternating Stirling sum above is the tests' oracle.  The
+same ratio is the probability of uniquely recovering a random k-jump
+monotone signal from d Gaussian measurements, which is what the threshold
+classifiers in this module are about.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .asymptotics import normal_cdf
 from .distribution import (
     build_distribution,  # unused here, but rlahbench/tracing.py wraps rlah.cones.build_distribution
     pmf_head,
@@ -70,16 +71,10 @@ def expected_face_count(q: ConeFaceQuery, *, n_max: int | None = None) -> Fracti
 def face_ratio(q: ConeFaceQuery, *, n_max: int | None = None) -> Fraction:
     """E[f_k]/binom(n,k) as 2 P[Lah(n,k)_{1/2} in {d-1, d-3, ...}], exact.
 
-    Evaluated on the exact PMF head up to d-1, so large n costs O(d * n).
+    One integer parity sum on the exact PMF head up to d-1: O(d * n) work.
     """
     check_n_max(q.n, n_max)
-    head = pmf_head(q.n, q.k, _HALF, q.d - 1)
-    total = Fraction(0)
-    j = q.d - 1
-    while j >= q.k:
-        total += head.pmf(j)
-        j -= 2
-    return 2 * total
+    return 2 * pmf_head(q.n, q.k, _HALF, q.d - 1).mass(range(q.d - 1, q.k - 1, -2))
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,7 @@ def weak_threshold(k: int, gamma, c: float | None = None) -> WeakThresholdResult
         return WeakThresholdResult("subcritical", 1.0, boundary)
     if g > boundary:
         return WeakThresholdResult("supercritical", 0.0, boundary)
-    limit = None if c is None else 0.5 * math.erfc(c / math.sqrt(2.0))
+    limit = None if c is None else normal_cdf(-c)
     return WeakThresholdResult("critical", limit, boundary)
 
 

@@ -29,9 +29,10 @@ reachable at n = 10^4.  One rule sizes every certified window
 study's widest window, so one (n, k, r) study runs the kernel once.
 ``build_distribution`` checks the row cap and returns the view at full
 width, j_hi = n; its row is built on the first read that needs it (tables,
-CDF, sampling, log-concavity).  Mean, variance and parity split are closed
-forms and the mode is read on a window.  CDF values, tails and floats are
-read off the sums, and a Fraction is built only at the API boundary.  The
+CDF, sampling, log-concavity).  ``den``, the normalizer, mean, variance
+and parity split are closed forms and the mode is read on a window.  Set
+probabilities (``mass``), CDF values, tails and floats are integer sums
+over ``den``, and a Fraction is built only at the API boundary.  The
 generating function is evaluated by its closed alternating sum
 (``pgf_eval``), in integers.  Rows and prefixes share one byte budget,
 ``_CACHE_BUDGET_BYTES``, and the least recently used are evicted first.
@@ -46,7 +47,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -218,15 +219,18 @@ def _prefix(n: int, r: Fraction, j_max: int, size: int = 0) -> List[int]:
     return b
 
 
+def _den(n: int, k: int, r: Fraction) -> int:
+    """q^n L(n,k)_r, the integer sum of the weights, by the closed form (no row cap)."""
+    return (r.denominator ** n * lah_r(n, k, r, n_max=n)).numerator
+
+
 def _head_row(n: int, k: int, r: Fraction, j_hi: int, size: int = 0) -> _HeadRow:
     """The cached row of (n, k, r), grown to cover j_hi <= n; ``size`` as in :func:`_prefix`."""
     key = ("head", n, k, r)
     with _cache_lock:
         row = _cache.get(key)
         if row is None:
-            # q^n L(n,k)_r is the integer sum of the weights; callers apply any row cap
-            den = r.denominator ** n * lah_r(n, k, r, n_max=n)
-            row = _HeadRow(k, den.numerator)
+            row = _HeadRow(k, _den(n, k, r))
         top = k + len(row.cum) - 1
         if j_hi > top:
             b = _prefix(n, r, j_hi, size)
@@ -246,9 +250,9 @@ def _head_row(n: int, k: int, r: Fraction, j_hi: int, size: int = 0) -> _HeadRow
 class PmfHead:
     """Exact PMF on the support prefix {k, ..., j_hi}, a view of a cached row.
 
-    ``head_cdf(j)`` is the exact P[X <= j] for j <= j_hi; the complement
-    gives exact upper tails without ever touching the (astronomical) right
-    end of the row.  A Fraction is built from one int/int pair per call.
+    ``mass(js)`` is the exact P[X in js] and ``head_cdf(j)`` the exact P[X <= j]
+    for j <= j_hi, each one integer sum over ``den``; the complement gives exact
+    upper tails without ever touching the (astronomical) right end of the row.
     The view holds no big integers: each read looks its (n, k, r) row up in
     the budgeted cache, regrowing it if it was evicted, so the budget bounds
     what heads keep alive.
@@ -269,11 +273,21 @@ class PmfHead:
             raise InvalidParameter(f"j={j} beyond computed head j_hi={self.j_hi}")
         return True
 
-    def pmf(self, j: int) -> Fraction:
-        if not self._in_head(j):
+    @property
+    def den(self) -> int:
+        """q^n L(n,k)_r, the one denominator of the law; reads no row."""
+        return _den(self.params.n, self.params.k, self.params.r)
+
+    def mass(self, js: Iterable[int]) -> Fraction:
+        """Exact P[X in js]; each j as in ``pmf`` (0 off the support, raises past j_hi)."""
+        js = [j for j in js if self._in_head(j)]
+        if not js:
             return Fraction(0)
         row = self._row()
-        return Fraction(row.weight(j), row.den)
+        return Fraction(sum(map(row.weight, js)), row.den)
+
+    def pmf(self, j: int) -> Fraction:
+        return self.mass((j,))
 
     def pmf_float(self, j: int) -> float:
         """float(pmf(j)): int true division is correctly rounded, as is the
@@ -315,10 +329,6 @@ class PmfHead:
         """Exact P[X >= j], via 1 - P[X <= j-1]."""
         return 1 - self.head_cdf(j - 1)
 
-    def lower_tail(self, j: int) -> Fraction:
-        """Exact P[X <= j]."""
-        return self.head_cdf(j)
-
 
 class LahDistribution(PmfHead):
     """The whole r-Lah distribution: the PMF head whose window is the support.
@@ -326,11 +336,11 @@ class LahDistribution(PmfHead):
     A view of the full-width head row of (n, k, r), j_hi = n, so that
     ``pmf``, ``cdf`` and the integer weights are read from the same cached
     row as every narrower head, over the one denominator
-    ``den = q^n L(n,k)_r``.  Mean, variance and parity split are closed
-    forms that read no row, the mode is ``mode_exact``'s window, and
-    log-concavity compares integer weights.  Like any head it holds no big
-    integers, so the cache budget bounds whole distributions too.  Use
-    :func:`build_distribution` to construct.
+    ``den = q^n L(n,k)_r``.  ``den``, the normalizer, mean, variance and
+    parity split are closed forms that read no row, the mode is
+    ``mode_exact``'s window, and log-concavity compares integer weights.
+    Like any head it holds no big integers, so the cache budget bounds
+    whole distributions too.  Use :func:`build_distribution` to construct.
     """
 
     cdf = PmfHead.head_cdf  # the head covers n, so every j is answered
@@ -340,13 +350,9 @@ class LahDistribution(PmfHead):
         return range(self.params.k, self.params.n + 1)
 
     @property
-    def den(self) -> int:
-        return self._row().den
-
-    @property
     def normalizer(self) -> Fraction:
-        """L(n,k)_r = den / q^n."""
-        return Fraction(self.den, self.params.r.denominator ** self.params.n)
+        """L(n,k)_r = den / q^n, by the closed form."""
+        return lah_r(self.params.n, self.params.k, self.params.r, n_max=self.params.n)
 
     def pmf_items(self) -> List[Tuple[int, Fraction]]:
         den = self.den

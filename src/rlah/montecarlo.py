@@ -3,11 +3,11 @@
 Walk increments and measurement matrices are drawn as binary64 Gaussians and
 read as integers at one power-of-two scale; every geometric decision after
 that point is exact.  A walk keeps its partial sums as integer rows S' = L S,
-L the smallest such scale, and one fraction-free elimination routine in the
-style of Bareiss serves the rank checks and the null-space bases on those
-integers.  There are no tolerances to tune, and genericity violations are
-detectable as exact rank deficiencies, which are rejected, redrawn and
-counted.
+L the smallest such scale, and one fraction-free elimination routine on
+the simplex's Bareiss step serves the rank checks and the null-space bases
+on those integers.  There are no tolerances to tune, and genericity
+violations are detectable as exact rank deficiencies, which are rejected,
+redrawn and counted.
 
 A subset A of generators spans a k-face of the cone iff it is independent
 and some functional u vanishes on A while being strictly negative on the
@@ -52,7 +52,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapacityExceeded, DegenerateSample, InvalidParameter
-from .simplex import _MAX_SIZE, FEASIBLE, INFEASIBLE, solve_lp
+from .simplex import _MAX_SIZE, FEASIBLE, INFEASIBLE, _pivot, solve_lp
 
 _ENUMERATION_CAP = 10 ** 6
 _MAX_REDRAWS = 16
@@ -81,14 +81,8 @@ def _eliminate(rows: Sequence[Sequence[int]], width: int) -> Tuple[List[List[int
         if piv is None:
             continue
         mat[top], mat[piv] = mat[piv], mat[top]
-        prow = mat[top]
-        p = prow[col]
-        for i, row in enumerate(mat):
-            if i != top:
-                f = row[col]
-                mat[i] = [(p * a - f * b) // den for a, b in zip(row, prow)]
+        den = _pivot(mat, top, col, den)
         pivots.append(col)
-        den = p
     return mat, pivots, den
 
 

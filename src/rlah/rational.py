@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 from .errors import CapacityExceeded, InvalidParameter
@@ -62,11 +61,6 @@ def as_rational(value: RationalLike) -> Fraction:
     raise InvalidParameter(f"cannot interpret {value!r} as a rational")
 
 
-@lru_cache(maxsize=None)
-def _ten_to(power: int) -> int:
-    return 10 ** power
-
-
 def check_decimal_digits(value: int) -> int:
     """Return ``value`` if ``str`` can render it, else raise CapacityExceeded.
 
@@ -75,7 +69,7 @@ def check_decimal_digits(value: int) -> int:
     length settles every case but those within a few bits of 10^limit.
     """
     limit = sys.get_int_max_str_digits()
-    if limit and value.bit_length() > 3 * limit and abs(value) >= _ten_to(limit):
+    if limit and value.bit_length() > 3 * limit and abs(value) >= 10 ** limit:
         raise CapacityExceeded(
             f"exact output has more than {limit} decimal digits (the int-to-str limit)"
         )

@@ -16,7 +16,8 @@ den = 1.  Then T = adj(B) A and den = det(B), B the columns of the current
 basis.  A pivot on p = T[pr][pc] > 0 keeps the pivot row, replaces every
 other row by (p T_i - f T_pr) / den with f = T_i[pc], and sets den = p,
 the determinant of the new basis; the quotient is exact because each
-entry is again a minor of A (Sylvester's identity).  Ratio-test candidates
+entry is again a minor of A (Sylvester's identity).  :mod:`rlah.montecarlo`
+eliminates with the same step, :func:`_pivot`.  Ratio-test candidates
 are compared by cross multiplication.  At the end of phase 1 the
 artificial columns hold adj(B), so the phase-1 duals, and with them the
 Farkas certificate, are integer combinations of those columns.
@@ -46,6 +47,22 @@ class LPResult:
     status: str
     x: Optional[List[Fraction]]
     y: Optional[List[int]]
+
+
+def _pivot(rows: List[List[int]], pr: int, pc: int, den: int) -> int:
+    """Bareiss step on p = rows[pr][pc], in place: every other row becomes
+    (p row_i - f row_pr) / den, f = row_i[pc], skipped when f = 0 and p = den.
+    Returns p, the new common denominator."""
+    prow = rows[pr]
+    p = prow[pc]
+    for i, row in enumerate(rows):
+        if i != pr:
+            f = row[pc]
+            if f:
+                rows[i] = [(p * a - f * c) // den for a, c in zip(row, prow)]
+            elif p != den:
+                rows[i] = [p * a // den for a in row]
+    return p
 
 
 def solve_lp(columns: Sequence[Sequence[int]], b: Sequence[int]) -> LPResult:
@@ -84,16 +101,7 @@ def solve_lp(columns: Sequence[Sequence[int]], b: Sequence[int]) -> LPResult:
                 lhs, rhs = row[-1] * best[enter], best[-1] * coef
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
-        prow = tableau[leave]
-        p = prow[enter]
-        for i, row in enumerate(tableau):
-            if i != leave:
-                f = row[enter]
-                if f:
-                    tableau[i] = [(p * a - f * c) // den for a, c in zip(row, prow)]
-                elif p != den:
-                    tableau[i] = [p * a // den for a in row]
-        den = p
+        den = _pivot(tableau, leave, enter, den)
         basis[leave] = enter
 
     obj = tableau[m]

@@ -193,7 +193,7 @@ def test_criterion_08_ldp_ratio_trend():
                 exact = float(head.upper_tail(j))
                 approx = ldp_upper_tail(n, 1, 0.5, x)
             else:
-                exact = float(head.lower_tail(j))
+                exact = float(head.head_cdf(j))
                 approx = ldp_lower_tail(n, 1, 0.5, x)
             ratios[n] = exact / approx
         improved = abs(ratios[10**4] - 1.0) < abs(ratios[10**2] - 1.0)

@@ -41,7 +41,7 @@ from rlah.distribution import (
     pmf_head,
 )
 from rlah.errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
-from rlah.stirling import StirlingKind, stirling_r
+from rlah.stirling import StirlingKind, lah_r, stirling_r
 
 from law_oracle import (
     expectation_alt,
@@ -383,7 +383,7 @@ def test_pmf_head_matches_full_distribution(r):
             assert head.pmf(j) == d.pmf(j)
         assert head.head_cdf(12) == d.cdf(12)
         assert head.upper_tail(7) == 1 - d.cdf(6)
-        assert head.lower_tail(9) == d.cdf(9)
+        assert head.head_cdf(9) == d.cdf(9)
 
 
 def test_pmf_head_guards():
@@ -521,12 +521,20 @@ def fresh_cache(budget=None):
 
 def assert_head_matches(head, pmf):
     """``pmf`` is the triangle oracle's P[X = j] for j = k..n."""
-    k = head.params.k
+    n, k, j_hi = head.params.n, head.params.k, head.j_hi
     cdf = [F(0), *accumulate(pmf)]  # cdf[j - k + 1] = P[X <= j]
-    for j in range(k - 1, head.j_hi + 1):
+    for j in range(k - 1, j_hi + 1):
         assert head.pmf(j) == (pmf[j - k] if j >= k else 0)
-        assert head.head_cdf(j) == head.lower_tail(j) == cdf[j - k + 1]
+        assert head.head_cdf(j) == cdf[j - k + 1]
         assert head.upper_tail(j + 1) == 1 - cdf[j - k + 1]
+    for parity in (0, 1):  # both parity sets of the window, from the top down
+        js = range(j_hi - parity, k - 1, -2)
+        assert head.mass(js) == sum((pmf[j - k] for j in js), F(0))
+    assert head.mass(range(k - 3, j_hi + 1)) == cdf[j_hi - k + 1]  # reaches below k
+    assert head.mass(()) == 0
+    for j in range(j_hi + 1, n + 1):
+        with pytest.raises(InvalidParameter):
+            head.mass((k, j))
 
 
 def test_head_grown_in_any_window_order_matches_fresh_and_oracle():
@@ -746,6 +754,21 @@ def test_the_sum_check_fires_on_the_first_full_width_read(monkeypatch):
             d.cdf(n)
     with fresh_cache(), pytest.raises(AssertionError):
         pmf_head(n, k, r, n)
+
+
+def test_den_and_normalizer_are_closed_forms_that_read_no_row(monkeypatch):
+    n, k, r = 1400, 1, HALF
+
+    def no_row(*args):
+        raise AssertionError(f"a row was read: {args}")
+
+    monkeypatch.setattr(distribution, "_first_kind_prefix_scaled", no_row)
+    monkeypatch.setattr(distribution, "_head_row", no_row)
+    with fresh_cache() as cache:
+        d = build_distribution(AdmissibleTriple(n, k, r))
+        assert d.den == 2**n * lah_r(n, k, r)
+        assert d.normalizer == lah_r(n, k, r)
+        assert not cache._entries
 
 
 # stats stdout as the row-sum variance and parity printed it: (argv, stdout length, SHA-256)

@@ -1,5 +1,6 @@
 """Rational parsing/formatting conventions at the package boundary."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rlah.errors import CapacityExceeded, InvalidParameter
-from rlah.rational import _MAX_LITERAL_DIGITS, as_rational, format_rational
+from rlah.rational import _MAX_LITERAL_DIGITS, as_rational, check_decimal_digits, format_rational
 
 
 def test_parse_forms():
@@ -56,3 +57,15 @@ def test_format():
 def test_roundtrip(num, den):
     q = F(num, den)
     assert as_rational(format_rational(q)) == q
+
+
+def test_decimal_digit_boundary_is_ten_to_the_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for sign in (1, -1):
+            assert check_decimal_digits(sign * (10**640 - 1)) == sign * (10**640 - 1)
+            with pytest.raises(CapacityExceeded):
+                check_decimal_digits(sign * 10**640)
+    finally:
+        sys.set_int_max_str_digits(saved)
