@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import IO, List, Sequence
@@ -242,26 +243,30 @@ def _run(args: argparse.Namespace, out: IO[str]) -> None:
             raise InvalidParameter("faces: give exactly one of --n or --n-range")
         ds = _range(args.d_range) if args.d_range is not None else range(args.d, args.d + 1)
         ns = _range(args.n_range) if args.n_range is not None else range(args.n, args.n + 1)
+        k = args.k
+        queries = []  # every row is admitted, in grid order, before any ratio is computed
+        for d in range(max(ds.start, k + 1), min(ds.stop, ns.stop)):  # the rows with k <= d - 1 <= n - 1
+            for n in range(max(ns.start, d), ns.stop):
+                queries.append(cones.ConeFaceQuery(d, n, k))
+                stirling.check_n_max(n, args.n_max)
+        # each n's widest row first, so its prefix kernel runs once and not once per d
+        ratios = {q: cones.face_ratio(q, n_max=args.n_max) for q in sorted(queries, key=lambda q: (q.n, -q.d))}
         rows = []
-        for d in ds:
-            for n in ns:
-                if n < d or args.k > d - 1:
-                    continue
-                q = cones.ConeFaceQuery(d, n, args.k)
-                count = cones.expected_face_count(q, n_max=args.n_max)
-                ratio = cones.face_ratio(q, n_max=args.n_max)
-                rows.append(
-                    {
-                        "d": d,
-                        "n": n,
-                        "k": args.k,
-                        "face_count_num": count.numerator,
-                        "face_count_den": count.denominator,
-                        "ratio_num": ratio.numerator,
-                        "ratio_den": ratio.denominator,
-                        "ratio_float": float(ratio),
-                    }
-                )
+        for q in queries:
+            ratio = ratios[q]
+            count = math.comb(q.n, k) * ratio  # as expected_face_count, without a second ratio
+            rows.append(
+                {
+                    "d": q.d,
+                    "n": q.n,
+                    "k": k,
+                    "face_count_num": count.numerator,
+                    "face_count_den": count.denominator,
+                    "ratio_num": ratio.numerator,
+                    "ratio_den": ratio.denominator,
+                    "ratio_float": float(ratio),
+                }
+            )
         _emit_rows(
             out,
             fmt,

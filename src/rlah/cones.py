@@ -34,7 +34,7 @@ from .distribution import (
     build_distribution,  # unused here, but rlahbench/tracing.py wraps rlah.cones.build_distribution
     pmf_head,
 )
-from .errors import InvalidParameter
+from .errors import DomainError, InvalidParameter
 from .rational import as_rational
 from .stirling import (
     check_n_max,
@@ -93,10 +93,13 @@ def weak_threshold(k: int, gamma, c: float | None = None) -> WeakThresholdResult
     the limit is Phi(-c) for the second-order constant c of the scaling
     log n(d) = (d + c sqrt(d) + o(sqrt(d)))/(k+1/2); pass ``c`` to obtain it.
     ``gamma`` may be math.inf, or anything :func:`as_rational` accepts (the
-    boundary comparison is then exact).
+    boundary comparison is then exact).  A NaN ``c`` raises DomainError
+    whatever the regime; c = +-inf gives the limits 0 and 1.
     """
     if k < 0:
         raise InvalidParameter(f"k must be >= 0, got {k}")
+    if c is not None and math.isnan(c):
+        raise DomainError("c must be a number, got nan")
     boundary = Fraction(2, 2 * k + 1)
     if isinstance(gamma, float) and math.isinf(gamma) and gamma > 0:
         return WeakThresholdResult("supercritical", 0.0, boundary)

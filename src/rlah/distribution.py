@@ -15,18 +15,18 @@ the scaled first-kind prefix of row n and t the scaled second-kind column k,
 the weight of j is w[j] = b[j] * t[j] and P[X = j] = w[j] / den, where
 den = q^n L(n,k)_r is the sum of all weights.  A row holds the prefix sums
 of the weights, is grown upward and is shared by every window of its
-(n, k, r); one first-kind prefix per (n, r) is shared by every k.  Row n of
-the first kind is row m < n times the factors m..n-1, so a prefix steps up
-from the nearest cached row of the same r that is wide enough, and rows at
-nearby n share their kernel work.
+(n, k, r); one first-kind prefix per (n, r), run exactly as wide as asked,
+is shared by every k and the variance.  Row n is row m < n times the factors
+m..n-1, so a prefix steps up from the nearest cached row of the same r that
+is wide enough, and rows at nearby n share their kernel work.
 
 ``pmf_head`` is a view of a row's prefix {k, ..., j_hi}, at O(j_hi * n)
 big-integer work, which is what makes exact tail sums, CDF heads and modes
 reachable at n = 10^4.  One rule sizes every certified window
 (``_head_window``), and ``pmf_head`` refuses a window whose j_hi * n passes
 ``_HEAD_COST_CAP``.  The limit statistics take their first head from
-``_window_head``, which floors the width of a prefix run at the default
-study's widest window, so one (n, k, r) study runs the kernel once.
+``_window_head``, whose floor is the default study's widest window within
+the cap, so one (n, k, r) study runs the kernel once.
 ``build_distribution`` checks the row cap and returns the view at full
 width, j_hi = n; its row is built on the first read that needs it (tables,
 CDF, sampling, log-concavity).  ``den``, the normalizer, mean, variance
@@ -193,13 +193,12 @@ def _prefix(n: int, r: Fraction, j_max: int, size: int = 0) -> List[int]:
     A cached prefix of row m covers a width w = min(j_max, n) when it has
     more than w entries or is the full row (m + 1 entries).  Row n is
     computed only when its cached prefix does not cover the request, and
-    then at no less than twice the cached width or ``size``, so a run of
-    widening windows costs a bounded multiple of the widest; the one caller
-    with a ``size``, :func:`_window_head`, passes the default study's widest
-    window.  The kernel steps up from the largest cached row m < n of the
-    same r that covers the width, multiplying in only the factors m..n-1,
-    so rows of one r at nearby n share their work.  The caller holds
-    ``_cache_lock``.
+    then exactly min(max(j_max, size), n) wide; the one caller with a
+    ``size``, :func:`_window_head`, passes the default study's widest
+    window within the work cap.  The kernel steps up from the largest
+    cached row m < n of the same r that covers the width, multiplying in
+    only the factors m..n-1, so rows of one r at nearby n share their work.
+    This module's one kernel caller; its caller holds ``_cache_lock``.
     """
 
     def covers(m: int, s: List[int], width: int) -> bool:
@@ -208,7 +207,7 @@ def _prefix(n: int, r: Fraction, j_max: int, size: int = 0) -> List[int]:
     key = ("prefix", n, r)
     b = _cache.get(key)
     if b is None or not covers(n, b, min(j_max, n)):
-        j_max = max(j_max, size, 2 * (len(b) - 1) if b is not None else 0)
+        j_max = max(j_max, size)
         width = min(j_max, n)
         start = (0, (1,))
         for (kind, m, rr, *_), (s, _) in _cache._entries.items():  # a peek: LRU order stays
@@ -372,14 +371,15 @@ class LahDistribution(PmfHead):
         2r = a/s, term m is the product of x_l = a + s*l over l = m..m+n-1,
         each of t-derivative w/2, w = a + 2s*m; so with d = sum (+-)C(k,m) e_n
         over the windows, P'(1) = sum (+-)C w e_{n-1} / 2d and P''(1) =
-        sum (+-)C w^2 e_{n-2} / 2d.  The low coefficients of prod (y + x_l)
-        slide by an exact division by y + x_m and a product with y + x_{m+n}.
-        For r = 0, x_0 = 0 and term 0 is 0, so m starts at 1."""
+        sum (+-)C w^2 e_{n-2} / 2d.  Window m0 reads its e's off the shared
+        prefix of (n, 2r + m0), and the next slide by an exact division by
+        y + x_m and a product with y + x_{m+n}.  For r = 0, x_0 = 0 zeroes term 0: m0 = 1."""
         n, k, r = self.params.n, self.params.k, self.params.r
         a, s = (2 * r).numerator, (2 * r).denominator
         m0 = 0 if r else 1
         c = (-1) ** (k - m0) * math.comb(k, m0)
-        e = _first_kind_prefix_scaled(n, 2 * r + m0, 2) + [0]  # e_n, e_{n-1}, e_{n-2} (0 for n = 1)
+        with _cache_lock:
+            e = _prefix(n, 2 * r + m0, 2)[:3] + [0]  # e_n, e_{n-1}, e_{n-2} (0 for n = 1)
         f0, f1, f2 = (c * v for v in e[:3])
         d = first = second = 0
         for m in range(m0, k + 1):  # f_i = (-1)^(k-m) C(k,m) e_{n-i} of window m
@@ -474,11 +474,11 @@ def _head_window(n: int, k: int, r: RationalLike, z: float = 0.0) -> int:
 def pmf_head(n: int, k: int, r: RationalLike, j_hi: int) -> PmfHead:
     """Exact PMF prefix on {k, ..., j_hi}; j_hi is clamped to n.
 
-    Unlike :func:`build_distribution` this does not cover the whole support
-    and takes no row cap: cost is O(j_hi * n) big-integer operations, and a
-    window with j_hi * n past ``_HEAD_COST_CAP`` raises CapacityExceeded
-    before any kernel runs.  Windows of one (n, k, r) share one row, and
-    every k at one (n, r) shares one first-kind prefix.
+    Unlike :func:`build_distribution` this takes no row cap: cost is
+    O(j_hi * n) big-integer operations, and j_hi * n past ``_HEAD_COST_CAP``
+    raises CapacityExceeded before any kernel runs.  Windows of one (n, k, r)
+    share one row, every k at one (n, r) one prefix, run exactly as wide as
+    asked: a caller that widens a head should double its requests.
     """
     r = as_rational(r)
     params = AdmissibleTriple(n, k, r)  # validate eagerly

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rlah import distribution
+from rlah import cones, distribution
 from rlah.cli import main
 
 
@@ -107,6 +107,45 @@ def test_faces_grid(capsys):
     assert parsed[(2, 2, 1)] == 2
     assert parsed[(2, 4, 1)] == F(11, 6)
     assert (3, 2, 1) not in parsed  # n < d filtered out
+
+
+def test_faces_visits_only_the_rows_it_prints(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "faces", "--d-range", "1:1000000000000", "--n-range", "5:6", "--k", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    rows = [tuple(map(int, line.split(",")[:2])) for line in out.splitlines()[1:]]
+    assert rows == [(d, n) for d in range(2, 7) for n in (5, 6) if n >= d]  # 9 rows
+
+
+def test_faces_runs_the_prefix_kernel_once_per_n(capsys, monkeypatch):
+    runs = []
+    kernel = distribution._first_kind_prefix_scaled
+
+    def counted(n, r, j_max, start):
+        runs.append((n, min(j_max, n), start[0]))
+        return kernel(n, r, j_max, start)
+
+    monkeypatch.setattr(distribution, "_first_kind_prefix_scaled", counted)
+    monkeypatch.setattr(distribution, "_cache", distribution._ByteLRU())
+    distribution._pmf_head_cached.cache_clear()
+    code, out = run_cli(capsys, "faces", "--d-range", "2:40", "--n-range", "377:378", "--k", "1")
+    assert (code, out.count("\n")) == (0, 1 + 2 * 39)
+    assert runs == [(377, 39, 0), (378, 39, 377)]  # each n's widest window first, not one run per d
+
+
+def test_faces_admits_every_row_before_any_ratio(capsys, monkeypatch):
+    monkeypatch.setattr(cones, "pmf_head", lambda *args: pytest.fail(f"a ratio was computed: {args}"))
+    monkeypatch.delenv("RLAH_N_MAX", raising=False)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "faces", "--d", "3", "--n-range", "3:100000000", "--k", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert json.loads(out) == {"error": "n=4097 exceeds n_max=4096", "kind": "CapacityExceeded"}
+    # the query is validated in the same pass, so its error still comes first
+    code, out = run_cli(capsys, "faces", "--d-range", "0:3", "--n-range", "0:5000", "--k", "-1")
+    assert code == 2
+    assert json.loads(out) == {"error": "d must be >= 1, got 0", "kind": "InvalidParameter"}
 
 
 def test_mc_cone_deterministic_bytes(capsys):
@@ -432,7 +471,7 @@ _SPECS = {
                     ("r", _R), ("z?", _FLOATS), ("x?", _FLOATS)],
     "faces": [("d-range", _span(1, 12)), ("n-range", _span(1, 300)), ("k", _ints(0, 4)), ("n-max?", _N_MAX)],
     "threshold": [("k", _ints(0, 6)), ("gamma", st.one_of(_R, st.just("inf"))),
-                  ("c?", st.floats(-5.0, 5.0, allow_nan=False).map(repr))],
+                  ("c?", st.one_of(st.floats(-5.0, 5.0, allow_nan=False), st.just(math.nan)).map(repr))],
     "recovery": [("d", _ints(1, 12)), ("n", _N), ("k", _ints(0, 12)), ("n-max?", _N_MAX)],
     "mc-cone": _MC,
     "mc-recovery": _MC_RECOVERY,
@@ -475,12 +514,17 @@ def _argvs(draw):
         (("mc-cone", "--d", "1", "--n", "1", "--k", "0", "--trials", "1", "--seed", "-3"), 2),  # seeds are >= 0
         (("mc-cone", "--d", "9" * 30, "--n", "1", "--k", "0", "--trials", "1"), 3),  # past the walk size bound
         (("mc-recovery", "--d", "1", "--n", "9" * 30, "--k", "0", "--trials", "1"), 3),  # past the walk size bound
+        (("threshold", "--k", "1", "--gamma", "2/3", "--c", "nan"), 2),  # a NaN limit is not JSON
     ],
 )
 def test_fuzz_found_inputs_keep_the_contract(capsys, argv, code_want):
     code, out = run_cli(capsys, *argv)
     assert code == code_want
     assert set(json.loads(out)) == {"error", "kind"}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @given(_argvs())
@@ -495,3 +539,5 @@ def test_fuzzed_arguments_keep_the_exit_code_contract(argv):
         assert len(lines) == 1
         record = json.loads(lines[0])
         assert set(record) == {"error", "kind"}
+    elif out.getvalue().startswith("{"):  # a JSON record or table must be strict JSON: no NaN or Infinity
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)

@@ -587,10 +587,12 @@ def test_two_k_share_one_first_kind_prefix(monkeypatch):
         pmf_head(500, 1, HALF, 30)
         pmf_head(500, 2, HALF, 25)
         assert calls == [30]
-        pmf_head(500, 2, HALF, 40)  # past the cached prefix: recomputed, at least doubled
-        assert calls == [30, 60]
+        pmf_head(500, 2, HALF, 40)  # past the cached prefix: recomputed, exactly as wide as asked
+        assert calls == [30, 40]
         pmf_head(500, 1, HALF, 55)
-        assert calls == [30, 60]
+        assert calls == [30, 40, 55]
+        pmf_head(500, 2, HALF, 50)  # k = 1's wider prefix covers it
+        assert calls == [30, 40, 55]
 
 
 def test_a_row_steps_up_from_the_nearest_covering_row(monkeypatch):
@@ -737,6 +739,41 @@ def test_a_statistic_whose_default_window_passes_the_cap_still_returns(monkeypat
     assert kernel_runs == [(n, r)]
 
 
+def test_no_kernel_run_is_wider_than_its_admitted_request(monkeypatch):
+    """Each run is max(request, floor) wide, and within the work cap: a
+    widening head does not double past what ``pmf_head`` admitted."""
+    r = HALF
+    cap = 100 * 300
+    monkeypatch.setattr(distribution, "_HEAD_COST_CAP", cap)
+    widths = []
+    kernel = distribution._first_kind_prefix_scaled
+
+    def counted(n, r, j_max, start):
+        widths.append(min(j_max, n))
+        return kernel(n, r, j_max, start)
+
+    monkeypatch.setattr(distribution, "_first_kind_prefix_scaled", counted)
+
+    requests = [
+        (300, 1, 60),
+        (300, 1, 70),  # twice the cached width would be 120 > cap // n
+        (300, 2, None),  # _window_head: 96 columns, floored at the cap's 100
+        (300, 0, 100),
+        (301, 1, 80),  # stepped up from row 300
+        (250, 0, None),
+    ]
+    with fresh_cache():
+        for n, k, j_hi in requests:
+            before, floor = len(widths), 0
+            if j_hi is None:
+                j_hi = distribution._window_head(n, k, r).j_hi
+                floor = min(distribution._head_window(n, k, r, max(DEFAULT_ZS)), cap // n)
+            else:
+                pmf_head(n, k, r, j_hi)
+            assert all(w <= max(j_hi, floor) and w <= cap // n for w in widths[before:]), (n, k, widths)
+    assert widths == [60, 70, 100, 80, 96]
+
+
 def test_the_sum_check_fires_on_the_first_full_width_read(monkeypatch):
     real = distribution._second_kind_column_scaled
 
@@ -769,6 +806,17 @@ def test_den_and_normalizer_are_closed_forms_that_read_no_row(monkeypatch):
         assert d.den == 2**n * lah_r(n, k, r)
         assert d.normalizer == lah_r(n, k, r)
         assert not cache._entries
+
+
+def test_the_variance_reads_the_cached_first_kind_prefix(monkeypatch):
+    n = 60
+    with fresh_cache():
+        pmf_head(n, 1, 1, n)  # caches the full (n, 1) prefix, which is (n, 2r) at r = 1/2
+        d = build_distribution(AdmissibleTriple(n, 1, HALF))
+        with monkeypatch.context() as mp:
+            mp.setattr(distribution, "_first_kind_prefix_scaled", lambda *args: pytest.fail(f"kernel run {args}"))
+            var = d.variance()
+        assert var == variance_via_pmf(d)
 
 
 # stats stdout as the row-sum variance and parity printed it: (argv, stdout length, SHA-256)
