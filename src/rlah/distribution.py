@@ -482,12 +482,18 @@ def pmf_head(n: int, k: int, r: RationalLike, j_hi: int) -> PmfHead:
     """
     r = as_rational(r)
     params = AdmissibleTriple(n, k, r)  # validate eagerly
+    return _pmf_head_cached(params.n, params.k, params.r, _admit_head(n, k, j_hi))
+
+
+def _admit_head(n: int, k: int, j_hi: int) -> int:
+    """The window end j_hi clamped to n, once it covers k and j_hi * n is
+    within ``_HEAD_COST_CAP``: the admission rule of every exact head."""
     j_hi = min(j_hi, n)
     if j_hi < k:
         raise InvalidParameter(f"j_hi={j_hi} is below the support start k={k}")
     if j_hi * n > _HEAD_COST_CAP:
         raise CapacityExceeded(f"exact head window {j_hi} x n={n} exceeds the work cap; reduce n or z")
-    return _pmf_head_cached(params.n, params.k, params.r, j_hi)
+    return j_hi
 
 
 def _window_head(n: int, k: int, r: Fraction, z: float = 0.0) -> PmfHead:

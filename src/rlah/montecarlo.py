@@ -3,11 +3,10 @@
 Walk increments and measurement matrices are drawn as binary64 Gaussians and
 read as integers at one power-of-two scale; every geometric decision after
 that point is exact.  A walk keeps its partial sums as integer rows S' = L S,
-L the smallest such scale, and one fraction-free elimination routine on
-the simplex's Bareiss step serves the rank checks and the null-space bases
-on those integers.  There are no tolerances to tune, and genericity
-violations are detectable as exact rank deficiencies, which are rejected,
-redrawn and counted.
+L the smallest such scale, and the simplex's fraction-free elimination
+serves the rank checks and the null-space bases on those integers.  There
+are no tolerances to tune, and genericity violations are detectable as
+exact rank deficiencies, which are rejected, redrawn and counted.
 
 A subset A of generators spans a k-face of the cone iff it is independent
 and some functional u vanishes on A while being strictly negative on the
@@ -22,7 +21,10 @@ there are (the simplex of :mod:`rlah.simplex`, which pivots an
 integer tableau over one common denominator).  When that LP is infeasible
 its multipliers y = (v, s), s < 0, give w = v / s with c_j.w <= -1.  So one
 route serves every g, and the certificate u is exact and can be re-checked
-against the sums.  Pointedness is the case A = {} (g = d).
+against the sums.  Pointedness is the case A = {} (g = d).  A verdict
+needs no certificate: the face, pointedness, cone and recovery tests read
+only the LP's status and build no Fraction; only :func:`face_certificate`
+reads y and builds u.
 
 Uniqueness of monotone-signal recovery is the same face test.  The
 monotone chamber is the simplicial cone of the indicators 1_[1..i], and a
@@ -44,6 +46,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -52,38 +55,12 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapacityExceeded, DegenerateSample, InvalidParameter
-from .simplex import _MAX_SIZE, FEASIBLE, INFEASIBLE, _pivot, solve_lp
+from .simplex import _MAX_SIZE, FEASIBLE, INFEASIBLE, LPResult, _eliminate, solve_lp
 
 _ENUMERATION_CAP = 10 ** 6
 _MAX_REDRAWS = 16
 
 IntRow = Tuple[int, ...]
-
-
-def _eliminate(rows: Sequence[Sequence[int]], width: int) -> Tuple[List[List[int]], List[int], int]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss).
-
-    Pivots on the first ``width`` columns and carries any further columns
-    along as right-hand sides.  Returns the reduced rows, the pivot columns
-    and the last pivot D: row i < rank holds D in column ``pivots[i]`` and 0
-    in the other pivot columns, and the rows from the rank on are zero in
-    the first ``width`` columns.  Every division is exact, so the entries
-    stay integers (they are minors of the input).
-    """
-    mat = [list(row) for row in rows]
-    pivots: List[int] = []
-    den = 1
-    for col in range(width):
-        top = len(pivots)
-        if top == len(mat):
-            break
-        piv = next((i for i in range(top, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[top], mat[piv] = mat[piv], mat[top]
-        den = _pivot(mat, top, col, den)
-        pivots.append(col)
-    return mat, pivots, den
 
 
 def _null_space(rows: Sequence[Sequence[int]], width: int) -> Tuple[int, List[IntRow]]:
@@ -96,7 +73,7 @@ def _null_space(rows: Sequence[Sequence[int]], width: int) -> Tuple[int, List[In
         for row, pc in zip(mat, pivots):
             v[pc] = -row[free]
         g = math.gcd(*v)
-        basis.append(tuple(x // g for x in v))
+        basis.append(tuple([x // g for x in v]))
     return len(pivots), basis
 
 
@@ -114,7 +91,7 @@ def _dyadic(draws: np.ndarray) -> Tuple[int, Tuple[IntRow, ...]]:
 
 
 def _dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 class ConeClass(enum.Enum):
@@ -177,28 +154,33 @@ def generate_walk(d: int, n: int, rng: np.random.Generator) -> WalkSample:
             raise DegenerateSample("persistent rank deficiency in walk generation")
 
 
-def _support(sample: WalkSample, subset: Sequence[int]) -> Optional[List[Fraction]]:
-    """u with S_i u = 0 on the subset and S_j u <= -1 off it, or None.
-
-    None also when the subset is dependent.  The search runs in the g
-    coordinates of u = L N w, N an integer basis of span(subset)^perp.
-    """
-    scale, rows = sample.scale, sample.rows
+def _support(sample: WalkSample, subset: Sequence[int]) -> Optional[Tuple[List[IntRow], Optional[LPResult]]]:
+    """None unless some u has S_i u = 0 on the subset and S_j u <= -1 off it
+    (so None when the subset is dependent); else (N, the infeasible Farkas
+    LP, or None when no generator is off the subset), for u = L N w in the
+    g coordinates w, N an integer basis of span(subset)^perp.  No Fraction."""
+    rows = sample.rows
     rank, basis = _null_space([rows[i] for i in subset], sample.d)
     if rank < len(subset):
         return None
     chosen = set(subset)
-    g = len(basis)
-    projected = [tuple(_dot(row, v) for v in basis) for j, row in enumerate(rows) if j not in chosen]
-    if not projected:
-        return [Fraction(0)] * sample.d  # no inequality: w = 0
-    # Farkas: M w <= -1 has no solution iff 0 is a convex combination of the
-    # rows c_j of M; otherwise phase 1's multipliers y = (v, s), s < 0, give w = v / s
-    result = solve_lp([c + (1,) for c in projected], [0] * g + [1])
-    if result.status != INFEASIBLE:
-        return None
-    *v, s = result.y  # g >= 1 here: with g = 0 the LP is feasible
-    return [Fraction(scale * _dot(v, coords), s) for coords in zip(*basis)]
+    # Farkas: M w <= -1 has no solution iff 0 is a convex combination of the rows c_j = S'_j N
+    # of M, here the LP's columns (c_j, 1); otherwise its multipliers y = (v, s), s < 0, give w = v / s
+    columns = [[*map(_dot, itertools.repeat(row), basis), 1] for j, row in enumerate(rows) if j not in chosen]
+    if not columns:
+        return basis, None
+    result = solve_lp(columns, [0] * len(basis) + [1])
+    return (basis, result) if result.status == INFEASIBLE else None
+
+
+def _subset(sample: WalkSample, subset: Iterable[int]) -> List[int]:
+    """The candidate face's generators, sorted, after checking 1 <= k <= d - 1 and their range."""
+    a = sorted(set(subset))
+    if not 1 <= len(a) <= sample.d - 1:
+        raise InvalidParameter(f"face dimension must lie in [1, d-1], got {len(a)}")
+    if any(i < 0 or i >= sample.n for i in a):
+        raise InvalidParameter(f"subset {a} out of range for n={sample.n}")
+    return a
 
 
 def face_certificate(sample: WalkSample, subset: Iterable[int]) -> Optional[List[Fraction]]:
@@ -210,13 +192,14 @@ def face_certificate(sample: WalkSample, subset: Iterable[int]) -> Optional[List
     rational arithmetic.  None when the subset is dependent
     (dimension condition fails) or no supporting hyperplane exists.
     """
-    a = sorted(set(subset))
-    k = len(a)
-    if not 1 <= k <= sample.d - 1:
-        raise InvalidParameter(f"face dimension must lie in [1, d-1], got {k}")
-    if any(i < 0 or i >= sample.n for i in a):
-        raise InvalidParameter(f"subset {a} out of range for n={sample.n}")
-    return _support(sample, a)
+    found = _support(sample, _subset(sample, subset))
+    if found is None:
+        return None
+    basis, result = found
+    if result is None:
+        return [Fraction(0)] * sample.d  # no inequality: w = 0
+    *v, s = result.y  # g >= 1 here: with g = 0 the LP is feasible
+    return [Fraction(sample.scale * _dot(v, coords), s) for coords in zip(*basis)]
 
 
 def is_k_face(sample: WalkSample, subset: Iterable[int]) -> bool:
@@ -225,7 +208,7 @@ def is_k_face(sample: WalkSample, subset: Iterable[int]) -> bool:
     True iff the subset is linearly independent (else the dimension condition
     fails) and some u satisfies u.S_i = 0 on A and u.S_j <= -1 off A.
     """
-    return face_certificate(sample, subset) is not None
+    return _support(sample, _subset(sample, subset)) is not None
 
 
 def is_pointed(sample: WalkSample) -> bool:

@@ -186,13 +186,20 @@ def lah_r(n: int, k: int, r: RationalLike, *, n_max: int | None = None) -> Fract
 
 
 def harmonic_diff(alpha: RationalLike, m: int) -> Fraction:
-    """Exact sum of 1/(alpha+j) for j=1..m (a difference of harmonic numbers)."""
+    """Exact sum of 1/(alpha+j) for j=1..m (a difference of harmonic numbers):
+    with alpha = p/q, the terms q/(p + q j) are added pairwise over the
+    products of their denominators (binary splitting) and reduced once."""
     alpha = as_rational(alpha)
     if alpha <= -1:
         raise InvalidParameter(f"alpha must be > -1, got {alpha}")
     if m < 0:
         raise InvalidParameter(f"m must be >= 0, got {m}")
-    return sum((Fraction(1) / (alpha + j) for j in range(1, m + 1)), Fraction(0))
+    p, q = alpha.numerator, alpha.denominator
+    terms = [(q, p + q * j) for j in range(1, m + 1)] or [(0, 1)]
+    while len(terms) > 1:
+        unpaired = terms[len(terms) // 2 * 2:]
+        terms = [(a * d + c * b, b * d) for (a, b), (c, d) in zip(terms[::2], terms[1::2])] + unpaired
+    return Fraction(*terms[0])
 
 
 # -- exact row/column slices for large n ------------------------------------

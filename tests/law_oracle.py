@@ -3,6 +3,8 @@
 rlah computes each quantity one way; the functions here compute it another
 way, so the tests can hold the two together:
 
+- the harmonic difference as a running Fraction sum, one reduction per
+  term, against :func:`rlah.stirling.harmonic_diff`'s binary splitting;
 - r-Stirling numbers by the polynomial-in-r formula over ordinary Stirling
   numbers, which come from the shared recurrence triangles (``table_for``),
   against :func:`rlah.stirling.stirling_r`'s integer slices;
@@ -60,6 +62,14 @@ from rlah.stirling import (
 DEFAULT_N_MAX_FLOAT = 20_000
 _PGF_METHOD_N_CAP = 512
 _HALF = Fraction(1, 2)
+
+
+# -- harmonic differences ---------------------------------------------------------
+
+def harmonic_diff_by_terms(alpha: RationalLike, m: int) -> Fraction:
+    """Sum of 1/(alpha+j) for j=1..m, one Fraction term at a time."""
+    alpha = as_rational(alpha)
+    return sum((Fraction(1) / (alpha + j) for j in range(1, m + 1)), Fraction(0))
 
 
 # -- r-Stirling numbers -----------------------------------------------------------

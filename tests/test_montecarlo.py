@@ -11,6 +11,7 @@ module (the runs are deterministic, so these are frozen comparisons, not
 flaky statistics).
 """
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction as F
@@ -38,6 +39,7 @@ from rlah.montecarlo import (
     is_unique_recovery,
     make_recovery_instance,
 )
+from rlah.simplex import FEASIBLE, INFEASIBLE, LPResult
 
 
 def integer_rows(rows):
@@ -177,7 +179,43 @@ class TestLPEquivalence:
             self.check(sample, [k] if k else [])
 
 
+    def test_certificates_are_pinned(self):
+        # SHA-256 of every face_certificate over the k-subsets of the grid's
+        # walks, as computed from the phase-1 tableau's artificial columns;
+        # the final basis gives the same rationals
+        digest = hashlib.sha256()
+        for d, n, k in EQUIVALENCE_GRID:
+            for seed in range(10 if n <= 12 else 1) if k else ():
+                sample = generate_walk(d, n, np.random.default_rng((2024, d, n, seed)))
+                for subset in itertools.combinations(range(n), k):
+                    digest.update(repr(face_certificate(sample, subset)).encode())
+        assert digest.hexdigest() == "06848c1dce6a385493ffb530fde9f50294960c9b92ed472d32fc893a7f141329"
+
+
 class TestCertificates:
+    def test_verdicts_build_no_fraction_and_read_no_proof(self, monkeypatch):
+        # the verdict routes read only the LP's status: no Fraction, no x, no y
+        walks = [generate_walk(d, n, np.random.default_rng((41, d, n, seed)))
+                 for d, n in [(2, 4), (2, 12), (3, 6), (4, 6), (4, 3), (6, 12)] for seed in range(3)]
+        instances = [make_recovery_instance(d, n, k, np.random.default_rng((41, d, n, k)), rule)
+                     for d, n, k in [(2, 6, 1), (3, 6, 2), (4, 8, 2), (3, 8, 0)] for rule in ("ones", "uniform")]
+        built, statuses = [], set()
+        new, solve = F.__new__, montecarlo.solve_lp
+        monkeypatch.setattr(F, "__new__", lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs))
+        monkeypatch.setattr(montecarlo, "solve_lp", lambda *args: statuses.add((r := solve(*args)).status) or r)
+        for attr in ("x", "y"):
+            monkeypatch.setattr(LPResult, attr, property(lambda _, attr=attr: pytest.fail(f"LPResult.{attr} read")))
+        faces = 0
+        for walk in walks:
+            faces += sum(count_faces(walk, k) for k in range(min(walk.d, 3)))
+            faces += is_k_face(walk, [0])
+            is_pointed(walk)
+            classify_cone(walk)
+        for inst in instances:
+            is_unique_recovery(inst)
+        assert built == []
+        assert faces > 0 and statuses == {FEASIBLE, INFEASIBLE}
+
     def test_lp_soundness_recheck(self):
         # every accepted face certificate must satisfy all constraints in
         # exact rational arithmetic

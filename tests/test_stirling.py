@@ -7,6 +7,7 @@ convolution sum; the oracles are independent of the production path.
 """
 
 import math
+import random
 import threading
 from fractions import Fraction as F
 
@@ -23,7 +24,7 @@ from rlah.stirling import (
     stirling_r,
 )
 
-from law_oracle import stirling_r_poly, table_for
+from law_oracle import harmonic_diff_by_terms, stirling_r_poly, table_for
 
 FIRST, SECOND = StirlingKind.FIRST, StirlingKind.SECOND
 R_GRID = [F(0), F(1, 2), F(1), F(7, 3)]
@@ -184,6 +185,16 @@ class TestHarmonicDiff:
         assert harmonic_diff(0, 3) == F(11, 6)
         assert harmonic_diff(F(7, 3), 0) == 0
         assert harmonic_diff(1, 1) == F(1, 2)
+
+    def test_matches_the_running_sum(self):
+        # one reduction at the end gives the same Fraction as one per term
+        rng = random.Random(20)
+        for _ in range(60):
+            q = rng.choice([1, 1, 2, 3, 7, 10 ** 6 + 3])
+            alpha = F(rng.randint(-q + 1, 5 * q), q)
+            m = rng.choice([rng.randint(0, 12), rng.randint(13, 400)])
+            assert harmonic_diff(alpha, m) == harmonic_diff_by_terms(alpha, m), (alpha, m)
+        assert harmonic_diff(F(1, 2), 3000) == harmonic_diff_by_terms(F(1, 2), 3000)
 
     def test_domain(self):
         with pytest.raises(InvalidParameter):
