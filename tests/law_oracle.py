@@ -3,8 +3,9 @@
 rlah computes each quantity one way; the functions here compute it another
 way, so the tests can hold the two together:
 
-- the harmonic difference as a running Fraction sum, one reduction per
-  term, against :func:`rlah.stirling.harmonic_diff`'s binary splitting;
+- the harmonic difference and the sum of squares 1/(alpha+j)^2 as running
+  Fraction sums, one reduction per term, against the binary splitting of
+  :mod:`rlah.stirling`;
 - r-Stirling numbers by the polynomial-in-r formula over ordinary Stirling
   numbers, which come from the shared recurrence triangles (``table_for``),
   against :func:`rlah.stirling.stirling_r`'s integer slices;
@@ -70,6 +71,12 @@ def harmonic_diff_by_terms(alpha: RationalLike, m: int) -> Fraction:
     """Sum of 1/(alpha+j) for j=1..m, one Fraction term at a time."""
     alpha = as_rational(alpha)
     return sum((Fraction(1) / (alpha + j) for j in range(1, m + 1)), Fraction(0))
+
+
+def harmonic_squares_by_terms(alpha: RationalLike, m: int) -> Fraction:
+    """Sum of 1/(alpha+j)^2 for j=1..m, one Fraction term at a time."""
+    alpha = as_rational(alpha)
+    return sum((Fraction(1) / (alpha + j) ** 2 for j in range(1, m + 1)), Fraction(0))
 
 
 # -- r-Stirling numbers -----------------------------------------------------------

@@ -171,6 +171,13 @@ def test_variance_closed_form_matches_the_row_sum():
     for _ in range(150):
         n, r = rng.randint(1, 40), rng.choice((F(0), F(1, 3), HALF, F(1), F(5, 4), F(7, 3)))
         cases.append((n, rng.randint(0 if r else 1, n), r))
+    cases += [(1, 0, HALF), (1, 1, F(0)), (1, 1, F(5, 4))]
+    for _ in range(150):  # n = k, r = 0, k near n and k small, r = a/b
+        n = rng.randint(1, 60)
+        r = rng.choice((F(0), F(rng.randint(1, 12), rng.randint(1, 12))))
+        k = rng.choice((n, max(n - rng.randint(1, 3), 0), min(rng.randint(0, 3), n)))
+        if k or r:
+            cases.append((n, k, r))
     for n, k, r in cases:
         d = dist(n, k, r)
         assert d.variance() == variance_via_pmf(d), (n, k, r)
@@ -841,6 +848,36 @@ def test_stats_grows_no_row_to_full_width(monkeypatch, capsys, argv, length, sha
     out = capsys.readouterr().out.encode()
     assert (len(out), hashlib.sha256(out).hexdigest()) == (length, sha)
     assert reads and all(j_hi < n for n, j_hi in reads)
+
+
+# stats stdout of the row-free summaries, pinned before the variance became the
+# two-harmonic-sum closed form: (argv, stdout length, SHA-256)
+STATS_PINNED = [
+    ("--format json stats --n 250 --k 0 --r 1/2", 1356, "160c260fe50189948a12f85f8fff4fc685146c5f3ff584f80829006e49a9b903"),
+    ("--format json stats --n 236 --k 3 --r 0", 1296, "ede0ef5bf01a50796db17132560eefb876ba1a253026177201b39281e9003ea7"),
+    ("--format json stats --n 260 --k 1 --r 1", 1412, "6805886b5ef91e1ebb51f8054d38e6de0e6eded27104f7564e096528af6cd76d"),
+    ("--format json stats --n 1400 --k 1390 --r 1/2", 457, "2f2bfc0460f3afdb3a6f8cf36c65a3e50c13adfb2bac8d3e84707964fc50976b"),
+    ("--format json stats --n 1400 --k 700 --r 1/3", 9940, "542bd9787e096f9be9d1ccb6e69889805721dfc70644021ea41d7748a225aab7"),
+    ("--format json stats --n 1 --k 1 --r 0", 184, "7d427d20e77d284d8271b6c29a4d9d3d9e51ecf1f66257c86dbe25b31eaa1de7"),
+    ("--format json stats --n 2 --k 0 --r 1/2", 199, "4342115abae80988c863005baef49f72e920e41530647cf72bf9bc3dcc76114c"),
+    ("--format json stats --n 3 --k 3 --r 3/2", 186, "7ea792a4c0e19f8fc212b230d76c01c1f367ab147b38b4c2ea871b8f37061815"),
+    ("--format csv stats --n 250 --k 0 --r 1/2", 1297, "cbbdf71073a49b1ae7275b91115520b51a87c73f667706fceaa6ede865933c80"),
+    ("--format csv stats --n 236 --k 3 --r 0", 1237, "f6c45d8bb77b0b01947249076313f67ddba62afd7c86eca8ccb1629f964a0650"),
+    ("--format csv stats --n 260 --k 1 --r 1", 1353, "2ea384185e4bcb38831dcf3e430923e772a47f59cf6b986bbb5a91f9b6fb2b49"),
+    ("--format csv stats --n 1400 --k 1390 --r 1/2", 398, "649179af4227c31e9a574baa1d5f5ec8ad373d755e728f0b81b44117d01e8e3d"),
+    ("--format csv stats --n 1400 --k 700 --r 1/3", 9881, "dea54e82cba262d0196582153959fd26a0f12231d3ddd9ef88cf69b44db3db7d"),
+    ("--format csv stats --n 1 --k 1 --r 0", 125, "2bf92199b4333e43cce10a8b9396eb4926b25851c4b072aef370d620e2f60802"),
+    ("--format csv stats --n 2 --k 0 --r 1/2", 140, "b4602ec6c1f20eb1a597daa55ad7fc46da910816417c879c4957bf24806965af"),
+    ("--format csv stats --n 3 --k 3 --r 3/2", 127, "32e3d46363d69039710d0168d116f79cb629f69b5c12425a4a0abf05435538d3"),
+]
+
+
+@pytest.mark.parametrize("argv, length, sha", STATS_PINNED)
+def test_stats_stdout_is_pinned(capsys, argv, length, sha):
+    with fresh_cache():
+        assert cli_main(argv.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (length, sha)
 
 
 # -- byte-identical CLI output ---------------------------------------------------------
