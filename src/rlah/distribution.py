@@ -16,7 +16,7 @@ the weight of j is w[j] = b[j] * t[j] and P[X = j] = w[j] / den, where
 den = q^n L(n,k)_r is the sum of all weights.  A row holds the prefix sums
 of the weights, is grown upward and is shared by every window of its
 (n, k, r); one first-kind prefix per (n, r), run exactly as wide as asked,
-is shared by every k and the variance.  Row n is row m < n times the factors
+is shared by every k.  Row n is row m < n times the factors
 m..n-1, so a prefix steps up from the nearest cached row of the same r that
 is wide enough, and rows at nearby n share their kernel work.
 
@@ -59,6 +59,7 @@ from .rational import (
 )
 from .stirling import (
     _first_kind_prefix_scaled,
+    _power_sum,
     _second_kind_column_scaled,
     check_n_max,
     gen_binomial,
@@ -198,7 +199,7 @@ def _prefix(n: int, r: Fraction, j_max: int, size: int = 0) -> List[int]:
     window within the work cap.  The kernel steps up from the largest
     cached row m < n of the same r that covers the width, multiplying in
     only the factors m..n-1, so rows of one r at nearby n share their work.
-    This module's one kernel caller; its caller holds ``_cache_lock``.
+    The one kernel caller; its one caller, :func:`_head_row`, holds ``_cache_lock``.
     """
 
     def covers(m: int, s: List[int], width: int) -> bool:
@@ -298,14 +299,15 @@ class PmfHead:
 
     def log_pmf(self, j: int) -> float:
         """log P[X = j] as log(numerator) - log(denominator) of the reduced
-        fraction (-inf for 0), memoized per j on the row."""
+        fraction, memoized per j on the row; -inf off the support, and past
+        j_hi it raises as ``pmf`` does, even when a wider head memoized j."""
+        if not self._in_head(j):
+            return -math.inf
         row = self._row()
-        value = row.logs.get(j)
-        if value is None:
-            p = self.pmf(j)
-            value = math.log(p.numerator) - math.log(p.denominator) if p else -math.inf
-            row.logs[j] = value
-        return value
+        if j not in row.logs:
+            p = Fraction(row.weight(j), row.den)
+            row.logs[j] = math.log(p.numerator) - math.log(p.denominator)
+        return row.logs[j]
 
     def _weights(self) -> List[int]:
         """Integer weights w[k..j_hi], all over the same denominator."""
@@ -314,13 +316,9 @@ class PmfHead:
 
     def head_cdf(self, j: int) -> Fraction:
         """Exact P[X <= j] for j <= j_hi (or any j when the head covers n)."""
-        if j < self.params.k:
+        j = min(j, self.params.n)
+        if not self._in_head(j):
             return Fraction(0)
-        if j > self.j_hi:
-            if self.j_hi >= self.params.n:
-                j = self.params.n
-            else:
-                raise InvalidParameter(f"j={j} beyond computed head j_hi={self.j_hi}")
         row = self._row()
         return Fraction(row.cum[j - self.params.k], row.den)
 
@@ -367,30 +365,26 @@ class LahDistribution(PmfHead):
         return expectation_exact(self.params.n, self.params.k, self.params.r)
 
     def variance(self) -> Fraction:
-        """P''(1) + P'(1) - P'(1)^2 from ``pgf_eval``'s sum at t = 1.  With
-        2r = a/s, term m is the product of x_l = a + s*l over l = m..m+n-1,
-        each of t-derivative w/2, w = a + 2s*m; so with d = sum (+-)C(k,m) e_n
-        over the windows, P'(1) = sum (+-)C w e_{n-1} / 2d and P''(1) =
-        sum (+-)C w^2 e_{n-2} / 2d.  Window m0 reads its e's off the shared
-        prefix of (n, 2r + m0), and the next slide by an exact division by
-        y + x_m and a product with y + x_{m+n}.  For r = 0, x_0 = 0 zeroes term 0: m0 = 1."""
+        """Var X = E[X(X-1)] + E[X] - E[X]^2 by two harmonic sums: with
+        alpha = k+2r-1, x = 2r+n, h0 and s0 the sums of 1/(alpha+j) and
+        1/(alpha+j)^2 over j = 1..n-k, h1 = h0 + 1/x, h2 = h1 + 1/(x+1), s1 and
+        s2 likewise, c1 = kx/(n-k+1) and c2 = c1(k-1)(x+1)/(n-k+2), E[X] =
+        r h0 + c1 h1 and E[X(X-1)] = r^2(h0^2-s0) + (2r+1)c1(h1^2-s1) + c2(h2^2-s2).
+        At t = 1, ``pgf_eval``'s sum is the k-th difference of (2r+m)_n in m,
+        whose i-th difference is (n)_i (2r+m+i)_{n-i}; each t-derivative brings
+        down (r+m) d/dm, and (r+m)^2 has three nonzero differences at m = 0
+        (r^2, 2r+1, 2), so the Leibniz rule for differences leaves three rising
+        factorials from 2r+k, each differentiated twice into (H^2 - S) times it."""
         n, k, r = self.params.n, self.params.k, self.params.r
-        a, s = (2 * r).numerator, (2 * r).denominator
-        m0 = 0 if r else 1
-        c = (-1) ** (k - m0) * math.comb(k, m0)
-        with _cache_lock:
-            e = _prefix(n, 2 * r + m0, 2)[:3] + [0]  # e_n, e_{n-1}, e_{n-2} (0 for n = 1)
-        f0, f1, f2 = (c * v for v in e[:3])
-        d = first = second = 0
-        for m in range(m0, k + 1):  # f_i = (-1)^(k-m) C(k,m) e_{n-i} of window m
-            w = a + 2 * s * m
-            d, first, second = d + f0, first + w * f1, second + w * w * f2
-            x, y = a + s * m, a + s * (m + n)
-            q0 = f0 // x
-            q1 = (f1 - q0) // x
-            q2 = (f2 - q1) // x
-            f0, f1, f2 = (-(k - m) * g // (m + 1) for g in (y * q0, q0 + y * q1, q1 + y * q2))
-        return Fraction(2 * d * (second + first) - first * first, 4 * d * d)
+        h0, s0 = (_power_sum(k + 2 * r - 1, n - k, e) for e in (1, 2))
+        x = 2 * r + n
+        h1, s1 = h0 + 1 / x, s0 + 1 / x**2
+        h2, s2 = h1 + 1 / (x + 1), s1 + 1 / (x + 1) ** 2
+        c1 = k * x / (n - k + 1)
+        c2 = c1 * (k - 1) * (x + 1) / (n - k + 2)
+        mean = r * h0 + c1 * h1
+        falling = r * r * (h0 * h0 - s0) + (2 * r + 1) * c1 * (h1 * h1 - s1) + c2 * (h2 * h2 - s2)
+        return falling + mean - mean * mean
 
     # -- shape ---------------------------------------------------------------
 

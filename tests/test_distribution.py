@@ -581,6 +581,19 @@ def test_float_and_log_accessors_are_bit_identical(n, k, r):
         assert head.log_pmf(j) == log_fraction(p)  # memoized value
 
 
+def test_log_pmf_raises_past_its_head_even_when_a_wider_head_memoized_j():
+    n, k, r = 300, 1, HALF
+    with fresh_cache():
+        with pytest.raises(InvalidParameter):
+            pmf_head(n, k, r, 100).log_pmf(150)
+        assert pmf_head(n, k, r, 200).log_pmf(150) < 0  # memoizes j = 150 on the shared row
+        narrow = pmf_head(n, k, r, 100)
+        for read in (narrow.pmf, narrow.log_pmf):
+            with pytest.raises(InvalidParameter):
+                read(150)
+        assert narrow.log_pmf(k - 1) == narrow.log_pmf(n + 1) == -math.inf
+
+
 def test_two_k_share_one_first_kind_prefix(monkeypatch):
     calls = []
     kernel = distribution._first_kind_prefix_scaled
@@ -815,14 +828,18 @@ def test_den_and_normalizer_are_closed_forms_that_read_no_row(monkeypatch):
         assert not cache._entries
 
 
-def test_the_variance_reads_the_cached_first_kind_prefix(monkeypatch):
-    n = 60
-    with fresh_cache():
-        pmf_head(n, 1, 1, n)  # caches the full (n, 1) prefix, which is (n, 2r) at r = 1/2
-        d = build_distribution(AdmissibleTriple(n, 1, HALF))
+@pytest.mark.parametrize("n, k", [(60, 1), (4000, 3990)])
+def test_the_variance_reads_no_kernel_and_no_cache(monkeypatch, n, k):
+    with fresh_cache() as cache:
+        pmf_head(n, 1, HALF, 32)  # a cached row and prefix of (n, 1/2), which the variance must not touch
+        before = [(key, id(value)) for key, (value, _) in cache._entries.items()], cache.nbytes
+        d = build_distribution(AdmissibleTriple(n, k, HALF), n_max=n)
         with monkeypatch.context() as mp:
-            mp.setattr(distribution, "_first_kind_prefix_scaled", lambda *args: pytest.fail(f"kernel run {args}"))
+            for name in ("_first_kind_prefix_scaled", "_prefix"):
+                mp.setattr(distribution, name, lambda *args, name=name: pytest.fail(f"{name} {args}"))
             var = d.variance()
+        assert ([(key, id(value)) for key, (value, _) in cache._entries.items()], cache.nbytes) == before
+    if n == 60:
         assert var == variance_via_pmf(d)
 
 

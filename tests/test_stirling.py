@@ -16,6 +16,7 @@ import pytest
 from rlah.errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
 from rlah.stirling import (
     StirlingKind,
+    _power_sum,
     _second_kind_column_scaled,
     first_kind_prefix,
     gen_binomial,
@@ -24,7 +25,7 @@ from rlah.stirling import (
     stirling_r,
 )
 
-from law_oracle import harmonic_diff_by_terms, stirling_r_poly, table_for
+from law_oracle import harmonic_diff_by_terms, harmonic_squares_by_terms, stirling_r_poly, table_for
 
 FIRST, SECOND = StirlingKind.FIRST, StirlingKind.SECOND
 R_GRID = [F(0), F(1, 2), F(1), F(7, 3)]
@@ -187,14 +188,17 @@ class TestHarmonicDiff:
         assert harmonic_diff(1, 1) == F(1, 2)
 
     def test_matches_the_running_sum(self):
-        # one reduction at the end gives the same Fraction as one per term
+        # one reduction at the end gives the same Fraction as one per term,
+        # for the sum and for the sum of squares that the variance reads
         rng = random.Random(20)
         for _ in range(60):
             q = rng.choice([1, 1, 2, 3, 7, 10 ** 6 + 3])
             alpha = F(rng.randint(-q + 1, 5 * q), q)
             m = rng.choice([rng.randint(0, 12), rng.randint(13, 400)])
             assert harmonic_diff(alpha, m) == harmonic_diff_by_terms(alpha, m), (alpha, m)
+            assert _power_sum(alpha, m, 2) == harmonic_squares_by_terms(alpha, m), (alpha, m)
         assert harmonic_diff(F(1, 2), 3000) == harmonic_diff_by_terms(F(1, 2), 3000)
+        assert _power_sum(F(1, 2), 3000, 2) == harmonic_squares_by_terms(F(1, 2), 3000)
 
     def test_domain(self):
         with pytest.raises(InvalidParameter):
