@@ -897,6 +897,32 @@ def test_stats_stdout_is_pinned(capsys, argv, length, sha):
     assert (len(out), hashlib.sha256(out).hexdigest()) == (length, sha)
 
 
+# stdout of the reads near k = n and of first-kind entries across a row, pinned
+# before the first-kind kernel took a lower column edge: (argv, stdout length, SHA-256)
+BAND_PINNED = [
+    ("--format json stats --n 4000 --k 3990 --r 1/2", 500, "2ab82874f4df3f70f403308137ce8dcee0a254233b524402868a0ed8413b7cd7"),
+    ("--format csv stats --n 4000 --k 3990 --r 1/2", 441, "831cb21be63b3c1701787c71eb0c5d35a7d4c92c4e227925eb38da69e8cb16c0"),
+    ("--format json stats --n 4000 --k 3900 --r 1/2", 2161, "06e11e6f4123b6f304284bfe40507fc29766bae8d4055214bd5f35e2dc0044ce"),
+    ("--format csv stats --n 4000 --k 3900 --r 1/2", 2102, "3f67ea8d96727a3442f8d7cf88814ae39523024cee2ccb3741334631b3d4acdf"),
+    ("--format csv pmf --n 4000 --k 3990 --r 1/2", 1068, "7d8eb277ce6461c4f61fd5ca6911b5e8348927b2d8907b75a25b1dcd0185a719"),
+    ("--format json pmf --n 4000 --k 3990 --r 1/2 --cdf", 2630, "42a55216243e3db88e4e28d97d500992d05418861c24f9b8d271e086c91f54a3"),
+    ("pmf --n 1400 --k 1390 --r 1/2 --cdf", 1705, "5beb9085aace2e79d1ffdb821b70575c3a4654a7169fa55ded2ca7bc8a7b99ce"),
+    ("stirling --kind first --n 4096 --k 4000 --r 1/2", 576, "800f1f7c46a371c46c11f2e8fcd8abdfcf3e1b82f84684164eea5cb08b699038"),
+    ("stirling --kind first --n 2000 --k 1990 --r 1/2", 70, "0bec4b613751cb551cd9516a3845f9dc34a83563f06e6ec74f57578dc24c3ad5"),
+    ("stirling --kind first --n 1400 --k 700 --r 1/3", 3052, "79e360d62ef72d5e5e81a727bddbd96e5a5442c698d4a1a25a3a7d0316400343"),
+    ("stirling --kind first --n 260 --k 259 --r 1", 12, "a139c055f12c6e672ce15933b146afa7da879a0f9d1750e8e194cc76d49a15bc"),
+    ("stirling --kind first --n 10 --k 0 --r 0", 8, "42c469b328e1dc5fc2b08960fcc2590e14cef8f59c0197a604bd353ec47320c2"),
+]
+
+
+@pytest.mark.parametrize("argv, length, sha", BAND_PINNED)
+def test_band_reads_stdout_is_pinned(capsys, argv, length, sha):
+    with fresh_cache():
+        assert cli_main(argv.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (length, sha)
+
+
 # -- byte-identical CLI output ---------------------------------------------------------
 
 ASYMPTOTICS_GOLDEN = """\
