@@ -15,10 +15,11 @@ the scaled first-kind prefix of row n and t the scaled second-kind column k,
 the weight of j is w[j] = b[j] * t[j] and P[X = j] = w[j] / den, where
 den = q^n L(n,k)_r is the sum of all weights.  A row holds the prefix sums
 of the weights, is grown upward and is shared by every window of its
-(n, k, r); one first-kind prefix per (n, r), run exactly as wide as asked,
-is shared by every k.  Row n is row m < n times the factors
-m..n-1, so a prefix steps up from the nearest cached row of the same r that
-is wide enough, and rows at nearby n share their kernel work.
+(n, k, r); one first-kind row per (n, r), run exactly as wide as asked from
+column max(0, 2k - n) for the k that asks, is shared by every k' >= 2k - n:
+a prefix for k <= n/2, a band near k = n.  Row n is row m < n times the
+factors m..n-1, so a row steps up from the nearest cached row of the same r
+that covers it, and rows at nearby n share their kernel work.
 
 ``pmf_head`` is a view of a row's prefix {k, ..., j_hi}, at O(j_hi * n)
 big-integer work, which is what makes exact tail sums, CDF heads and modes
@@ -184,37 +185,47 @@ class _HeadRow:
         return self.cum[i] - self.cum[i - 1] if i else self.cum[0]
 
 
+class _Band(list):
+    """A cached first-kind row, exact from column ``lo`` up and 0 below it."""
+
+    def __init__(self, b: List[int], lo: int):
+        super().__init__(b)
+        self.lo = lo
+
+
 _cache = _ByteLRU()
 _cache_lock = threading.Lock()
 
 
-def _prefix(n: int, r: Fraction, j_max: int, size: int = 0) -> List[int]:
-    """Scaled first-kind prefix b[0..j_max] of row n, shared by every k.
+def _prefix(n: int, r: Fraction, j_max: int, size: int = 0, lo: int = 0) -> List[int]:
+    """Scaled first-kind row n on the columns [lo, j_max] (0 below its edge), shared by every k.
 
-    A cached prefix of row m covers a width w = min(j_max, n) when it has
-    more than w entries or is the full row (m + 1 entries).  Row n is
-    computed only when its cached prefix does not cover the request, and
-    then exactly min(max(j_max, size), n) wide; the one caller with a
-    ``size``, :func:`_window_head`, passes the default study's widest
-    window within the work cap.  The kernel steps up from the largest
-    cached row m < n of the same r that covers the width, multiplying in
-    only the factors m..n-1, so rows of one r at nearby n share their work.
-    The one kernel caller; its one caller, :func:`_head_row`, holds ``_cache_lock``.
+    A cached row m covers a width w = min(j_max, n) when it has more than w
+    entries or is the full row (m + 1 entries), and its edge ``s.lo`` is at
+    most max(0, lo - (n - m)).  Row n is computed only when its cached row
+    does not cover the request, and then min(max(j_max, size), n) wide from
+    column max(0, 2 * lo - n): at most twice the narrowest band, serving every
+    later lo' >= 2 * lo - n.  That edge is 0 for lo <= n / 2, so heads at fixed
+    k run the whole prefix.  The one caller with a ``size``, :func:`_window_head`,
+    passes the default study's widest window within the work cap.  The kernel
+    steps up from the largest cached row m < n of the same r that covers the
+    run, multiplying in only the factors m..n-1, so rows of one r at nearby n
+    share their work.  The one kernel caller; its one caller, :func:`_head_row`, holds ``_cache_lock``.
     """
 
-    def covers(m: int, s: List[int], width: int) -> bool:
-        return len(s) > width or len(s) == m + 1
+    def covers(m: int, s: _Band, width: int, lo: int) -> bool:
+        return (len(s) > width or len(s) == m + 1) and s.lo <= max(0, lo - (n - m))
 
     key = ("prefix", n, r)
     b = _cache.get(key)
-    if b is None or not covers(n, b, min(j_max, n)):
+    if b is None or not covers(n, b, min(j_max, n), lo):
         j_max = max(j_max, size)
-        width = min(j_max, n)
+        width, lo = min(j_max, n), max(0, 2 * lo - n)
         start = (0, (1,))
         for (kind, m, rr, *_), (s, _) in _cache._entries.items():  # a peek: LRU order stays
-            if kind == "prefix" and rr == r and start[0] < m < n and covers(m, s, width):
+            if kind == "prefix" and rr == r and start[0] < m < n and covers(m, s, width, lo):
                 start = (m, s)
-        b = _first_kind_prefix_scaled(n, r, j_max, start)
+        b = _Band(_first_kind_prefix_scaled(n, r, j_max, start, lo), lo)
         _cache.put(key, b, sum(map(sys.getsizeof, b)))
     return b
 
@@ -233,7 +244,7 @@ def _head_row(n: int, k: int, r: Fraction, j_hi: int, size: int = 0) -> _HeadRow
             row = _HeadRow(k, _den(n, k, r))
         top = k + len(row.cum) - 1
         if j_hi > top:
-            b = _prefix(n, r, j_hi, size)
+            b = _prefix(n, r, j_hi, size, k)
             t = _second_kind_column_scaled(k, r, j_hi)
             acc = row.cum[-1] if row.cum else 0
             for j in range(top + 1, j_hi + 1):

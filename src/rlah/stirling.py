@@ -8,11 +8,11 @@ The two kinds satisfy the recurrences
 with c(0,0) = S(0,0) = 1 and value 0 outside 0 <= k <= n.  Production
 values come from two exact integer slices, with the denominator q of r
 cleared: the first-kind row n is the coefficient list of
-(x+r)(x+r+1)...(x+r+n-1), so a prefix of it is grown in O(prefix * n)
-big-integer operations, and a single second-kind column is a linear
-recurrence in n.  ``stirling_r`` reads one entry from them; the PMF rows of
-:mod:`rlah.distribution` read whole slices.  A Fraction is built only at the
-boundary.
+(x+r)(x+r+1)...(x+r+n-1), so its columns [lo, hi] are grown in
+O(n * min(hi + 1, n - lo + 1)) big-integer operations, and a single
+second-kind column is a linear recurrence in n.  ``stirling_r`` reads one
+entry from them; the PMF rows of :mod:`rlah.distribution` read whole
+slices.  A Fraction is built only at the boundary.
 
 ``check_n_max`` is the one row-cap check: n may not exceed an explicit
 ``n_max``, else ``$RLAH_N_MAX``, else 4096.  PMF heads take no row cap;
@@ -131,8 +131,8 @@ def stirling_r(
 ) -> Fraction:
     """r-Stirling number of the given kind, read from one scaled integer slice.
 
-    The first kind is entry k of the prefix of row n, over q^(n-k); the
-    second kind is entry n of column k, over q^n.
+    The first kind is entry k of row n, run on the one-column band [k, k],
+    over q^(n-k); the second kind is entry n of column k, over q^n.
     """
     check_n_max(n, n_max)
     r = _check_r(as_rational(r))
@@ -142,7 +142,7 @@ def stirling_r(
         return Fraction(0)
     q = r.denominator
     if kind is StirlingKind.FIRST:
-        return Fraction(_first_kind_prefix_scaled(n, r, k)[k], q ** (n - k))
+        return Fraction(_first_kind_prefix_scaled(n, r, k, lo=k)[k], q ** (n - k))
     return Fraction(_second_kind_column_scaled(k, r, n)[n], q ** n)
 
 
@@ -210,31 +210,32 @@ def _power_sum(alpha: Fraction, m: int, e: int) -> Fraction:
 # -- exact row/column slices for large n ------------------------------------
 
 def _first_kind_prefix_scaled(
-    n: int, r: Fraction, j_max: int, start: Tuple[int, Sequence[int]] = (0, (1,))
+    n: int, r: Fraction, j_max: int, start: Tuple[int, Sequence[int]] = (0, (1,)), lo: int = 0
 ) -> List[int]:
-    """Integer coefficients b with c(n,j)_r = b[j] * q^(j-n), q = r.denominator.
+    """Integer coefficients b with c(n,j)_r = b[j] * q^(j-n), q = r.denominator,
+    on the band lo <= j <= min(j_max, n), with b[j] = 0 below the edge lo.
 
-    b is the prefix [0..j_max] of the coefficient list of the monic integer
-    polynomial prod_{i=0}^{n-1} (y + p + q*i); the prefix is closed under the
-    one-factor-at-a-time update, so only j_max+1 columns are carried.
+    b is a band of the coefficient list of the monic integer polynomial
+    prod_{i=0}^{n-1} (y + p + q*i).  Column j of a row needs only columns j-1
+    and j of the row before, so row i carries only max(0, lo-(n-i))..min(i,
+    j_max): about n * min(j_max, n - lo) steps; lo = 0 is the whole prefix.
 
-    ``start`` = (m, s) holds the scaled prefix s of row m <= n, and only the
-    factors i = m..n-1 are multiplied in.  s must be a full row (m + 1
-    entries) or reach column min(j_max, n); it is trimmed to that width
-    first, so the integers are those of the last n - m steps of a run from
-    row 0, whose prefix is [1].
+    ``start`` = (m, s) is the scaled row m <= n, exact from column
+    max(0, lo-(n-m)), full (m + 1 entries) or reaching column min(j_max, n);
+    only the factors i = m..n-1 are multiplied in, as in a run from row 0 ([1]).
     """
-    p, q = r.numerator, r.denominator
+    p, q, top = r.numerator, r.denominator, n - 1 - lo
     j_max = min(j_max, n)
     m, s = start
     b = list(s[: j_max + 1])
     b += [0] * (j_max + 1 - len(b))
     for i in range(m, n):
         c = p + q * i
-        for j in range(min(i + 1, j_max), 0, -1):
+        e = i - top if i > top else 0  # the edge of row i + 1, max(0, lo - (n - 1 - i))
+        for j in range(min(i + 1, j_max), e, -1):
             b[j] = b[j - 1] + c * b[j]
-        b[0] = c * b[0]
-    return b
+        b[e] = c * b[e] + b[e - 1] if e else c * b[0]
+    return [0] * lo + b[lo:]
 
 
 def _second_kind_column_scaled(k: int, r: Fraction, j_max: int) -> List[int]:

@@ -123,16 +123,16 @@ def test_faces_runs_the_prefix_kernel_once_per_n(capsys, monkeypatch):
     runs = []
     kernel = distribution._first_kind_prefix_scaled
 
-    def counted(n, r, j_max, start):
-        runs.append((n, min(j_max, n), start[0]))
-        return kernel(n, r, j_max, start)
+    def counted(n, r, j_max, start, lo):
+        runs.append((n, min(j_max, n), start[0], lo))
+        return kernel(n, r, j_max, start, lo)
 
     monkeypatch.setattr(distribution, "_first_kind_prefix_scaled", counted)
     monkeypatch.setattr(distribution, "_cache", distribution._ByteLRU())
     distribution._pmf_head_cached.cache_clear()
     code, out = run_cli(capsys, "faces", "--d-range", "2:40", "--n-range", "377:378", "--k", "1")
     assert (code, out.count("\n")) == (0, 1 + 2 * 39)
-    assert runs == [(377, 39, 0), (378, 39, 377)]  # each n's widest window first, not one run per d
+    assert runs == [(377, 39, 0, 0), (378, 39, 377, 0)]  # each n's widest window first, not one run per d
 
 
 def test_faces_admits_every_row_before_any_ratio(capsys, monkeypatch):

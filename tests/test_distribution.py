@@ -619,9 +619,9 @@ def test_a_row_steps_up_from_the_nearest_covering_row(monkeypatch):
     calls = []
     kernel = distribution._first_kind_prefix_scaled
 
-    def counted(n, r, j_max, start):
+    def counted(n, r, j_max, start, lo):
         calls.append((n, j_max, start[0]))
-        return kernel(n, r, j_max, start)
+        return kernel(n, r, j_max, start, lo)
 
     monkeypatch.setattr(distribution, "_first_kind_prefix_scaled", counted)
     with fresh_cache(), distribution._cache_lock:
@@ -647,33 +647,37 @@ def test_stepped_prefixes_equal_fresh_kernel_runs(seed):
     """Seeded request sequences through the cache, each answer against a
     kernel run from row 0: runs of nearby n with jumps between them, four
     r, narrow and wide windows (so sources are both wider and narrower than
-    the request), full rows and widths past n, and on odd seeds a budget
-    that evicts sources mid-sequence."""
+    the request), full rows and widths past n, a lower edge on half the
+    requests (so bands step up from bands), and on odd seeds a budget that
+    evicts sources mid-sequence."""
     rng = np.random.default_rng(seed)
     kernel = distribution._first_kind_prefix_scaled
     budget = 50_000 if seed % 2 else None
-    starts = []
+    runs = []
 
-    def spy(n, r, j_max, start):
-        starts.append(start[0])
-        return kernel(n, r, j_max, start)
+    def spy(n, r, j_max, start, lo):
+        runs.append((start[0], lo))
+        return kernel(n, r, j_max, start, lo)
 
     evicted = 0
     with fresh_cache(budget) as cache, pytest.MonkeyPatch.context() as mp:
         mp.setattr(distribution, "_first_kind_prefix_scaled", spy)
         n = int(rng.integers(1, 601))
-        for _ in range(60):
+        for _ in range(150):
             r = (F(0), HALF, F(7, 3), F(5, 4))[rng.integers(4)]
             n = int(rng.integers(1, 601)) if rng.integers(4) == 0 else int(np.clip(n + rng.integers(-30, 31), 1, 600))
             widths = [rng.integers(0, 12), rng.integers(0, 60)] + ([n, n + 5] if n <= 200 else [])
             j_max = int(widths[rng.integers(len(widths))])
+            lo = int(rng.integers(0, min(j_max, n) + 1)) if rng.integers(2) else 0
             before = set(cache._entries)
             with distribution._cache_lock:
-                b = distribution._prefix(n, r, j_max)
+                b = distribution._prefix(n, r, j_max, 0, lo)
             evicted += len(before - set(cache._entries))
-            assert len(b) > min(j_max, n)
-            assert b[: j_max + 1] == kernel(n, r, j_max)
-    assert any(starts) and 0 in starts  # both stepped and fresh runs happened
+            assert len(b) > min(j_max, n) and b.lo <= lo
+            assert b[: b.lo] == [0] * b.lo
+            assert b[lo : j_max + 1] == kernel(n, r, j_max)[lo:]
+    assert any(m for m, _ in runs) and any(not m for m, _ in runs)  # both stepped and fresh runs happened
+    assert any(m and lo for m, lo in runs)  # and some of the stepped runs were bands
     assert (evicted > 0) == (budget is not None)
 
 
@@ -768,9 +772,9 @@ def test_no_kernel_run_is_wider_than_its_admitted_request(monkeypatch):
     widths = []
     kernel = distribution._first_kind_prefix_scaled
 
-    def counted(n, r, j_max, start):
+    def counted(n, r, j_max, start, lo):
         widths.append(min(j_max, n))
-        return kernel(n, r, j_max, start)
+        return kernel(n, r, j_max, start, lo)
 
     monkeypatch.setattr(distribution, "_first_kind_prefix_scaled", counted)
 
@@ -921,6 +925,24 @@ def test_band_reads_stdout_is_pinned(capsys, argv, length, sha):
         assert cli_main(argv.split()) == 0
     out = capsys.readouterr().out.encode()
     assert (len(out), hashlib.sha256(out).hexdigest()) == (length, sha)
+
+
+def test_stats_near_k_equals_n_runs_one_band(monkeypatch, capsys):
+    """The mode's row at (4000, 3990) is the band from column 2k - n = 3980 up,
+    about 21 columns a row, not the 4001-column prefix."""
+    runs = []
+    kernel = distribution._first_kind_prefix_scaled
+
+    def spy(n, r, j_max, start, lo):
+        runs.append((n, min(j_max, n), start[0], lo))
+        return kernel(n, r, j_max, start, lo)
+
+    monkeypatch.setattr(distribution, "_first_kind_prefix_scaled", spy)
+    with fresh_cache():
+        assert cli_main("stats --n 4000 --k 3990 --r 1/2".split()) == 0
+    assert '"mode": "3995"' in capsys.readouterr().out
+    [(n, width, m, lo)] = runs
+    assert (n, width, m) == (4000, 4000, 0) and lo >= 3980
 
 
 # -- byte-identical CLI output ---------------------------------------------------------

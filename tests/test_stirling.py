@@ -13,9 +13,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from rlah import stirling as stirling_module
 from rlah.errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
 from rlah.stirling import (
     StirlingKind,
+    _first_kind_prefix_scaled,
     _power_sum,
     _second_kind_column_scaled,
     first_kind_prefix,
@@ -243,6 +245,37 @@ class TestPrefixSlices:
 
     def test_prefix_clamps_to_n(self):
         assert len(first_kind_prefix(4, F(1, 2), 99)) == 5
+
+    def test_first_kind_band_equals_the_prefix_slice(self):
+        """Seeded bands [lo, hi] of row n against a fresh prefix run, from row 0
+        and stepped up from a row m that is itself a band, exact only from
+        column max(0, lo - (n - m)); nothing but 0 lies below the edge."""
+        rng = random.Random(22)
+        for _ in range(400):
+            n = rng.randint(0, 80)
+            r = rng.choice([F(0), F(1, 2), F(7, 3), F(rng.randint(0, 12), rng.randint(1, 12))])
+            hi = rng.randint(0, n + 3)
+            lo = rng.randint(0, min(hi, n))
+            fresh = _first_kind_prefix_scaled(n, r, hi)
+            m = rng.randint(0, n)
+            row_m = _first_kind_prefix_scaled(m, r, m, lo=max(0, lo - (n - m)))
+            for start in ((0, (1,)), (m, row_m), (m, row_m[: min(hi, n) + 1])):
+                band = _first_kind_prefix_scaled(n, r, hi, start, lo)
+                assert band[:lo] == [0] * lo and band[lo:] == fresh[lo:], (n, r, hi, lo, start[0])
+
+    def test_stirling_r_first_kind_runs_only_its_band(self, monkeypatch):
+        """c(4096, 4000) carries at most n - k + 1 = 97 columns per row, not 4001."""
+        runs = []
+        kernel = stirling_module._first_kind_prefix_scaled
+
+        def spy(n, r, j_max, start=(0, (1,)), lo=0):
+            runs.append((n, min(j_max, n), start[0], lo))
+            return kernel(n, r, j_max, start, lo)
+
+        monkeypatch.setattr(stirling_module, "_first_kind_prefix_scaled", spy)
+        assert stirling_r(FIRST, 4096, 4000, F(1, 2)) > 0  # its digits are pinned in tests/test_distribution.py
+        [(n, width, m, lo)] = runs
+        assert max(min(i, width) - max(0, lo - (n - i)) + 1 for i in range(m, n + 1)) <= 97
 
 
 def test_concurrent_reads_fill_consistently():
