@@ -25,7 +25,7 @@ from typing import IO, List, Sequence
 
 from . import asymptotics, cones, distribution, montecarlo, stirling
 from .errors import CapacityExceeded, InvalidParameter, RLahError
-from .rational import as_rational, check_decimal_digits, format_rational
+from .rational import as_rational, check_decimal_digits, check_log10_bound, format_rational
 
 
 def _check_ints(rows: List[dict]) -> None:
@@ -182,8 +182,11 @@ def _run(args: argparse.Namespace, out: IO[str]) -> None:
 
     if args.command == "stirling":
         kind = stirling.StirlingKind.FIRST if args.kind == "first" else stirling.StirlingKind.SECOND
-        value = stirling.stirling_r(kind, args.n, args.k, as_rational(args.r), n_max=args.n_max)
-        _emit_value(out, fmt, value)
+        r = as_rational(args.r)
+        stirling.check_n_max(args.n, args.n_max)  # its record comes first, as in stirling_r
+        if r >= 0 and 0 <= args.k <= args.n:  # an unprintable entry is refused before any kernel runs
+            check_log10_bound(stirling._log10_lower(kind, args.n, args.k, r))
+        _emit_value(out, fmt, stirling.stirling_r(kind, args.n, args.k, r, n_max=args.n_max))
 
     elif args.command == "lah":
         _emit_value(out, fmt, stirling.lah_r(args.n, args.k, as_rational(args.r), n_max=args.n_max))

@@ -168,7 +168,8 @@ class _HeadRow:
     is w[j] = b[j] * t[j] and P[X = j] = w[j] / den, where den = q^n L(n,k)_r
     is the sum of all weights.  ``cum[i]`` is w[k] + ... + w[k+i]; the row
     only grows upward, so one row serves every window of its key.  ``logs``
-    memoizes the log-PMF per j.
+    memoizes the exact log-PMF of each j that ``PmfHead.log_pmf`` was asked
+    for, and of no other j: the mgf sums read cheaper bounds past their cut.
     """
 
     __slots__ = ("k", "den", "cum", "logs", "nbytes")
@@ -257,6 +258,26 @@ def _head_row(n: int, k: int, r: Fraction, j_hi: int, size: int = 0) -> _HeadRow
         return row
 
 
+def _log_quotient(a: int, g: int) -> float:
+    """``math.log(a // g)`` bit for bit, for positive a and a divisor g of a.
+
+    A quotient of at most about 1100 bits is one short division.  A longer
+    one is past binary64, where ``math.log`` takes frexp(a // g) = (m, e),
+    e the bit length and m the quotient over 2^e rounded to 53 bits (to 1/2
+    and e + 1 when it rounds to 1), and returns log(m) + log(2) * e.  That
+    m is the true division a / (g << e), which int division rounds
+    correctly with a quotient of a few digits, not the long division.
+    """
+    e = a.bit_length() - g.bit_length()
+    if e <= 1100:
+        return math.log(a // g)
+    e += a >= g << e  # the bit length of a // g
+    m = a / (g << e)
+    if m == 1.0:
+        m, e = 0.5, e + 1
+    return math.log(m) + math.log(2.0) * e
+
+
 @dataclass(frozen=True)
 class PmfHead:
     """Exact PMF on the support prefix {k, ..., j_hi}, a view of a cached row.
@@ -309,16 +330,28 @@ class PmfHead:
         return row.weight(j) / row.den
 
     def log_pmf(self, j: int) -> float:
-        """log P[X = j] as log(numerator) - log(denominator) of the reduced
-        fraction, memoized per j on the row; -inf off the support, and past
-        j_hi it raises as ``pmf`` does, even when a wider head memoized j."""
+        """log P[X = j], exact to the bit: log(numerator) - log(denominator)
+        of the reduced fraction w/den, with g = gcd(w, den) and each log taken
+        by :func:`_log_quotient` without dividing out g.  Memoized per j on
+        the row; -inf off the support, and past j_hi it raises as ``pmf``
+        does, even when a wider head memoized j."""
         if not self._in_head(j):
             return -math.inf
         row = self._row()
         if j not in row.logs:
-            p = Fraction(row.weight(j), row.den)
-            row.logs[j] = math.log(p.numerator) - math.log(p.denominator)
+            w = row.weight(j)
+            g = math.gcd(w, row.den)
+            row.logs[j] = _log_quotient(w, g) - _log_quotient(row.den, g)
         return row.logs[j]
+
+    def _log_pmf_bounds(self) -> List[float]:
+        """log w[j] - log den for j = k..j_hi, by ``math.log`` on the unreduced
+        integers: no gcd, nothing memoized.  ``log_pmf(j)`` logs the same
+        ratio, reduced, so the two differ only by the rounding of four float
+        logs, each within about bit length * 2^-53: below 1e-9 for integers
+        of fewer than 10^6 bits."""
+        log_den = math.log(self._row().den)
+        return [math.log(w) - log_den for w in self._weights()]
 
     def _weights(self) -> List[int]:
         """Integer weights w[k..j_hi], all over the same denominator."""
@@ -437,14 +470,17 @@ class LahDistribution(PmfHead):
         return idx + self.params.k
 
     def to_rows(self, *, include_cdf: bool = False) -> List[dict]:
+        """One row per j: P[X = j] (and P[X <= j]) reduced by one gcd each, and
+        ``pmf_float`` as ``pmf_float`` computes it, with no Fraction built."""
         head = self._row()  # one lookup for the table, not one per read
+        den = head.den
         rows = []
         for j, w, c in zip(self.support, self._weights(), head.cum):
-            p = Fraction(w, head.den)
-            row = {"j": j, "pmf_num": p.numerator, "pmf_den": p.denominator, "pmf_float": float(p)}
+            g = math.gcd(w, den)
+            row = {"j": j, "pmf_num": w // g, "pmf_den": den // g, "pmf_float": w / den}
             if include_cdf:
-                c = Fraction(c, head.den)
-                row["cdf_num"], row["cdf_den"] = c.numerator, c.denominator
+                g = math.gcd(c, den)
+                row["cdf_num"], row["cdf_den"] = c // g, den // g
             rows.append(row)
         return rows
 

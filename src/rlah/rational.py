@@ -10,7 +10,9 @@ parsed literal may be at most ``_MAX_LITERAL_DIGITS`` characters long, with a
 decimal exponent at most that large, so its numerator and denominator have
 at most about twice that many digits.  On the way out, an integer with more
 decimal digits than the interpreter's int-to-str limit is refused with
-``CapacityExceeded`` before any conversion is tried.
+``CapacityExceeded`` before any conversion is tried, and a value with a
+lower bound past that limit is refused by the same record before it is
+computed.
 """
 
 from __future__ import annotations
@@ -70,10 +72,25 @@ def check_decimal_digits(value: int) -> int:
     """
     limit = sys.get_int_max_str_digits()
     if limit and value.bit_length() > 3 * limit and abs(value) >= 10 ** limit:
-        raise CapacityExceeded(
-            f"exact output has more than {limit} decimal digits (the int-to-str limit)"
-        )
+        raise _too_many_digits(limit)
     return value
+
+
+def check_log10_bound(log10_lower: float) -> None:
+    """Raise ``check_decimal_digits``'s CapacityExceeded, before the value
+    exists, for a value whose log10 is at least ``log10_lower``.
+
+    Only a bound past the limit by more than one digit refuses: a bound
+    summed from float logs is off by far less than that, so a value that
+    ``str`` can render is never refused here.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and log10_lower > limit + 1:
+        raise _too_many_digits(limit)
+
+
+def _too_many_digits(limit: int) -> CapacityExceeded:
+    return CapacityExceeded(f"exact output has more than {limit} decimal digits (the int-to-str limit)")
 
 
 def format_rational(value: Fraction) -> str:

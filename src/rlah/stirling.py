@@ -146,6 +146,26 @@ def stirling_r(
     return Fraction(_second_kind_column_scaled(k, r, n)[n], q ** n)
 
 
+def _log10_lower(kind: StirlingKind, n: int, k: int, r: Fraction) -> float:
+    """A lower bound on log10 of the r-Stirling number (kind, n, k), 0 <= k <= n,
+    r >= 0, from n - k float logs, without running a kernel.
+
+    The first kind is the elementary symmetric sum e_{n-k} of r, r+1, ...,
+    r+n-1, a sum of products of n - k of them, so it is at least the product
+    of the n - k largest, prod_{i=k}^{n-1} (r+i).  The second kind satisfies
+    S(n,k) >= (k+r) S(n-1,k), so it is at least (k+r)^(n-k).  -inf for a
+    zero entry (k = r = 0 < n).
+    """
+    if n == k:
+        return 0.0  # c(n,n) = S(n,n) = 1
+    p, q = r.numerator, r.denominator
+    if p == 0 and k == 0:
+        return -math.inf
+    if kind is StirlingKind.FIRST:
+        return math.fsum(math.log10(p + q * i) for i in range(k, n)) - (n - k) * math.log10(q)
+    return (n - k) * (math.log10(p + q * k) - math.log10(q))
+
+
 def gen_binomial(top_offset: RationalLike, gap: int) -> Fraction:
     """Generalized binomial binom(x, x-gap) as the product over j=1..gap of (x-gap+j)/j.
 

@@ -22,9 +22,11 @@ way, so the tests can hold the two together:
 - E[f_k] by the alternating r-Stirling sum, against
   :func:`rlah.cones.expected_face_count`, which is binom(n,k) times the head
   sum;
-- the mod-Poisson residual through the exact pgf and through a binary64
-  log-space PMF row, against the certified exact-head sum of
-  :func:`rlah.asymptotics.mod_poisson_residual`.
+- the mod-Poisson residual through the exact pgf, through a binary64
+  log-space PMF row and through the same certified head sum with every
+  term's log exact (the log of each reduced ``Fraction``), against the sum
+  of :func:`rlah.asymptotics.mod_poisson_residual`, which reads exact logs
+  only where they can change a bit.
 
 The log-space row rolls the r-Stirling slices through log-sum-exp and costs
 O(n^2) flops; the Fraction sums cost a full row each.  Neither is used
@@ -47,6 +49,7 @@ from rlah.distribution import (
     LahDistribution,
     build_distribution,
     pgf_eval,
+    pmf_head,
 )
 from rlah.errors import CapacityExceeded, InvalidParameter
 from rlah.rational import RationalLike, as_rational
@@ -287,4 +290,28 @@ def residual_via_logspace(n: int, k: int, r: RationalLike, z: float) -> float:
     finite = terms[np.isfinite(terms)]
     top = finite.max()
     log_sum = top + math.log(np.exp(finite - top).sum())
+    return math.exp(log_sum - _scale(n, k, r, z))
+
+
+def residual_all_exact(n: int, k: int, r: RationalLike, z: float, j_hi: int) -> float:
+    """The residual summed as :func:`rlah.asymptotics.mod_poisson_residual`
+    sums it, from the first window {k, ..., j_hi}, with every term exact:
+    z j + log P[X = j] for each j of the window, the log of the reduced
+    Fraction.  The window doubles until the same geometric tail certificate
+    holds (or it covers n)."""
+    r = as_rational(r)
+    j_hi = min(j_hi, n)
+    while True:
+        head = pmf_head(n, k, r, j_hi)
+        terms = [z * j + log_fraction(head.pmf(j)) for j in range(k, j_hi + 1)]
+        top = max(terms)
+        log_sum = top + math.log(sum(math.exp(t - top) for t in terms))
+        if j_hi >= n:
+            break
+        u_last, u_prev = terms[-1], terms[-2]
+        if u_last < u_prev:
+            ratio = math.exp(u_last - u_prev)
+            if ratio == 0.0 or u_last + math.log(ratio / (1.0 - ratio)) < log_sum - 27.7:
+                break
+        j_hi = min(n, 2 * j_hi)
     return math.exp(log_sum - _scale(n, k, r, z))

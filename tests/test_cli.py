@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rlah import cones, distribution
+from rlah import cones, distribution, stirling
 from rlah.cli import main
 
 
@@ -407,6 +407,51 @@ def test_unprintable_pmf_is_refused_before_the_row(capsys, monkeypatch, cdf):
         "error": f"exact output has more than {limit} decimal digits (the int-to-str limit)",
         "kind": "CapacityExceeded",
     }
+
+
+def spy_stirling_kernels(monkeypatch):
+    """Record every run of the two r-Stirling kernels, and let it run."""
+    runs = []
+    for name in ("_first_kind_prefix_scaled", "_second_kind_column_scaled"):
+        kernel = getattr(stirling, name)
+        monkeypatch.setattr(stirling, name, lambda *a, kernel=kernel, **kw: runs.append(a) or kernel(*a, **kw))
+    return runs
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_unprintable_stirling_entry_is_refused_before_any_kernel(capsys, monkeypatch, kind):
+    runs = spy_stirling_kernels(monkeypatch)
+    monkeypatch.delenv("RLAH_N_MAX", raising=False)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "stirling", "--kind", kind, "--n", "4096", "--k", "2048", "--r", "1/2")
+    assert (code, runs) == (3, [])
+    assert time.perf_counter() - start < 1.0
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(out) == {
+        "error": f"exact output has more than {limit} decimal digits (the int-to-str limit)",
+        "kind": "CapacityExceeded",
+    }
+
+
+def test_stirling_lower_bound_never_refuses_a_printable_entry(capsys, monkeypatch):
+    runs = spy_stirling_kernels(monkeypatch)
+    entries = [("second", n, 10, r) for n in range(600, 680, 3) for r in ("1/2", "7/3", "0")]
+    entries += [("first", n, k, r) for n in range(285, 335, 2) for k in (0, 1, 5) for r in ("1/2", "1/3", "0")]
+    early = 0
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for kind, n, k, r in entries:
+            runs.clear()
+            code, out = run_cli(capsys, "stirling", "--kind", kind, "--n", str(n), "--k", str(k), "--r", r)
+            early += not runs
+            stirling_kind = stirling.StirlingKind.FIRST if kind == "first" else stirling.StirlingKind.SECOND
+            value = stirling.stirling_r(stirling_kind, n, k, F(r))
+            printable = max(value.numerator, value.denominator) < 10**640
+            assert code == (0 if printable else 3), (kind, n, k, r)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert early > 20  # the bound refuses most unprintable entries before their kernel
 
 
 def test_asymptotics_past_the_head_work_cap_exits_3(capsys, monkeypatch):

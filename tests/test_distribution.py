@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlah import distribution
+from rlah import asymptotics, distribution
 from rlah.asymptotics import (
     DEFAULT_XS,
     DEFAULT_ZS,
@@ -49,6 +49,7 @@ from law_oracle import (
     mean_via_pmf,
     parity_via_pmf,
     pgf_via_pmf,
+    residual_all_exact,
     table_for,
     variance_via_pmf,
 )
@@ -592,6 +593,50 @@ def test_log_pmf_raises_past_its_head_even_when_a_wider_head_memoized_j():
             with pytest.raises(InvalidParameter):
                 read(150)
         assert narrow.log_pmf(k - 1) == narrow.log_pmf(n + 1) == -math.inf
+
+
+def test_log_quotient_is_math_log_of_the_quotient():
+    rng = random.Random(23)
+    quotients = []
+    for bits in [*range(1023, 1102), 1500, 4000, 33000]:
+        top = 1 << (bits - 1)
+        quotients += [top | rng.getrandbits(bits - 1), top, (1 << bits) - 1]  # the last rounds to 1.0
+        for mantissa in (top >> (bits - 53), (1 << 53) - 1, (top >> (bits - 53)) + 1):  # even, odd, odd
+            tie = (mantissa << (bits - 53)) | (1 << (bits - 54))  # exactly halfway between two doubles
+            quotients += [tie, tie + 1, tie - 1]
+    for q in quotients:
+        for g in (1, 3, rng.getrandbits(64) | 1, rng.getrandbits(2000) | 1 << 1999, rng.getrandbits(30000) | 1):
+            assert distribution._log_quotient(q * g, g) == math.log(q), (q.bit_length(), g.bit_length())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mod_poisson_sum_is_the_all_exact_sum_bit_for_bit(seed):
+    rng = random.Random(seed)
+    n = rng.choice([40, 300, 1000, 3000 if seed < 2 else 500])
+    k, r = rng.choice([(1, HALF), (0, HALF), (2, F(0)), (1, F(7, 3)), (3, F(1, 3))])
+    for z in (-rng.uniform(0.1, 2.0), rng.uniform(0.05, 1.5)):
+        want = residual_all_exact(n, k, r, z, distribution._head_window(n, k, r, z))
+        assert mod_poisson_residual(n, k, r, z) == want, (n, k, r, z)
+
+
+def test_mod_poisson_sum_is_the_all_exact_sum_when_its_window_grows(monkeypatch):
+    n, k, r, z = 1000, 1, HALF, 0.7
+    grown = []
+    monkeypatch.setattr(distribution, "_head_window", lambda n, k, r, z=0.0: k + 6)
+    monkeypatch.setattr(asymptotics, "pmf_head", lambda *a: grown.append(a[3]) or pmf_head(*a))
+    with fresh_cache():
+        assert mod_poisson_residual(n, k, r, z) == residual_all_exact(n, k, r, z, k + 6)
+    assert grown[:3] == [14, 28, 56]
+
+
+def test_default_mod_poisson_study_takes_few_exact_logs():
+    n, k, r = 3000, 1, HALF
+    with fresh_cache() as cache:
+        for z in DEFAULT_ZS:
+            mod_poisson_residual(n, k, r, z)
+        row = cache.get(("head", n, k, r))
+    assert len(row.cum) == 160  # the window at z = 1
+    assert len(row.logs) <= 90  # 85: j = 1..79 and the two edge terms of the 96-, 128- and 160-column windows
 
 
 def test_two_k_share_one_first_kind_prefix(monkeypatch):
