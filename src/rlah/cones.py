@@ -159,8 +159,9 @@ def recovery_probability(d: int, n: int, k: int, *, n_max: int | None = None) ->
     monotone chamber's generators 1_[1..i] to a Gaussian random walk, and the
     signal is recovered uniquely iff its jump set spans a k-face of that
     walk's cone.  At the boundary k = d the alternating sum has no terms
-    (d - 2l - 1 < k), so the probability is 0; callers surfacing it should
-    flag the boundary (the CLI does).
+    (d - 2l - 1 < k), so this returns the formula's 0; callers surfacing it
+    should flag the boundary (the CLI does).  That is the event's probability
+    only for n > d: at n = d, G is square and invertible and recovery is sure.
     """
     if not 0 <= k <= d <= n:
         raise InvalidParameter(f"need 0 <= k <= d <= n, got k={k}, d={d}, n={n}")

@@ -24,10 +24,10 @@ that covers it, and rows at nearby n share their kernel work.
 ``pmf_head`` is a view of a row's prefix {k, ..., j_hi}, at O(j_hi * n)
 big-integer work, which is what makes exact tail sums, CDF heads and modes
 reachable at n = 10^4.  One rule sizes every certified window
-(``_head_window``), and ``pmf_head`` refuses a window whose j_hi * n passes
-``_HEAD_COST_CAP``.  The limit statistics take their first head from
-``_window_head``, whose floor is the default study's widest window within
-the cap, so one (n, k, r) study runs the kernel once.
+(``_head_window``), and ``_admit_head`` refuses one whose j_hi * n passes
+``_HEAD_COST_CAP`` before any kernel runs.  The limit statistics take their
+first head from ``_window_head``, whose floor, the default study's widest
+window, ``_prefix`` clamps to the cap: one (n, k, r) study runs the kernel once.
 ``build_distribution`` checks the row cap and returns the view at full
 width, j_hi = n; its row is built on the first read that needs it (tables,
 CDF, sampling, log-concavity).  ``den``, the normalizer, mean, variance
@@ -208,7 +208,7 @@ def _prefix(n: int, r: Fraction, j_max: int, size: int = 0, lo: int = 0) -> List
     column max(0, 2 * lo - n): at most twice the narrowest band, serving every
     later lo' >= 2 * lo - n.  That edge is 0 for lo <= n / 2, so heads at fixed
     k run the whole prefix.  The one caller with a ``size``, :func:`_window_head`,
-    passes the default study's widest window within the work cap.  The kernel
+    passes the default study's widest window, clamped here to ``_HEAD_COST_CAP // n``.  The kernel
     steps up from the largest cached row m < n of the same r that covers the
     run, multiplying in only the factors m..n-1, so rows of one r at nearby n
     share their work.  The one kernel caller; its one caller, :func:`_head_row`, holds ``_cache_lock``.
@@ -220,7 +220,7 @@ def _prefix(n: int, r: Fraction, j_max: int, size: int = 0, lo: int = 0) -> List
     key = ("prefix", n, r)
     b = _cache.get(key)
     if b is None or not covers(n, b, min(j_max, n), lo):
-        j_max = max(j_max, size)
+        j_max = max(j_max, min(size, _HEAD_COST_CAP // n))
         width, lo = min(j_max, n), max(0, 2 * lo - n)
         start = (0, (1,))
         for (kind, m, rr, *_), (s, _) in _cache._entries.items():  # a peek: LRU order stays
@@ -261,21 +261,23 @@ def _head_row(n: int, k: int, r: Fraction, j_hi: int, size: int = 0) -> _HeadRow
 def _log_quotient(a: int, g: int) -> float:
     """``math.log(a // g)`` bit for bit, for positive a and a divisor g of a.
 
-    A quotient of at most about 1100 bits is one short division.  A longer
-    one is past binary64, where ``math.log`` takes frexp(a // g) = (m, e),
+    Int true division is correctly rounded, so a / g is float(a // g), and
+    ``math.log`` of an int logs that float whenever it exists.  Where it
+    overflows, so does a / g, and ``math.log`` takes frexp(a // g) = (m, e),
     e the bit length and m the quotient over 2^e rounded to 53 bits (to 1/2
     and e + 1 when it rounds to 1), and returns log(m) + log(2) * e.  That
-    m is the true division a / (g << e), which int division rounds
-    correctly with a quotient of a few digits, not the long division.
+    m is the true division a / (g << e).  Neither route runs the long
+    division: each quotient has a few digits.
     """
-    e = a.bit_length() - g.bit_length()
-    if e <= 1100:
-        return math.log(a // g)
-    e += a >= g << e  # the bit length of a // g
-    m = a / (g << e)
-    if m == 1.0:
-        m, e = 0.5, e + 1
-    return math.log(m) + math.log(2.0) * e
+    try:
+        return math.log(a / g)
+    except OverflowError:
+        e = a.bit_length() - g.bit_length()
+        e += a >= g << e  # the bit length of a // g
+        m = a / (g << e)
+        if m == 1.0:
+            m, e = 0.5, e + 1
+        return math.log(m) + math.log(2.0) * e
 
 
 @dataclass(frozen=True)
@@ -394,10 +396,6 @@ class LahDistribution(PmfHead):
     def normalizer(self) -> Fraction:
         """L(n,k)_r = den / q^n, by the closed form."""
         return lah_r(self.params.n, self.params.k, self.params.r, n_max=self.params.n)
-
-    def pmf_items(self) -> List[Tuple[int, Fraction]]:
-        den = self.den
-        return [(j, Fraction(w, den)) for j, w in zip(self.support, self._weights())]
 
     # -- moments -------------------------------------------------------------
 
@@ -539,11 +537,11 @@ def _admit_head(n: int, k: int, j_hi: int) -> int:
 
 def _window_head(n: int, k: int, r: Fraction, z: float = 0.0) -> PmfHead:
     """``pmf_head`` on the window of e^{zX} weights, the first head of every
-    limit statistic.  A kernel run it starts is as wide as the window at
-    z = max(DEFAULT_ZS), within the work cap: a default study runs it once."""
-    j_hi = _head_window(n, k, r, z)  # validates (n, k, r)
-    if j_hi * n <= _HEAD_COST_CAP:  # else pmf_head refuses it before any run
-        _head_row(n, k, r, j_hi, min(_head_window(n, k, r, max(DEFAULT_ZS)), _HEAD_COST_CAP // n))
+    limit statistic, admitted (the work cap tested) before any kernel run.  A
+    run it starts is at least as wide as the window at z = max(DEFAULT_ZS), a
+    floor :func:`_prefix` clamps to the cap: a default study runs it once."""
+    j_hi = _admit_head(n, k, _head_window(n, k, r, z))  # validates (n, k, r)
+    _head_row(n, k, r, j_hi, _head_window(n, k, r, max(DEFAULT_ZS)))
     return pmf_head(n, k, r, j_hi)
 
 

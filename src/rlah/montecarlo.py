@@ -47,7 +47,7 @@ import enum
 import itertools
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -307,7 +307,8 @@ class RecoveryInstance:
     """A k-jump monotone signal and a Gaussian measurement matrix G.
 
     The signal is x_m = sum_l a_l [i_l >= m]: nonincreasing, nonnegative,
-    with jumps exactly at the chosen positions.  G = matrix / scale.
+    with jumps exactly at the chosen positions.  G = matrix / scale, of full
+    row rank: a deficient matrix raises DegenerateSample at construction.
     """
 
     d: int
@@ -317,13 +318,16 @@ class RecoveryInstance:
     amplitudes: Tuple[Fraction, ...]
     scale: int
     matrix: Tuple[IntRow, ...]  # d rows of n integers
+    redraws: int = 0
+
+    def __post_init__(self):
+        if _rank(self.matrix) < self.d:
+            raise DegenerateSample("measurement matrix is not of full row rank")
 
     def with_amplitudes(self, amplitudes: Sequence[Fraction]) -> "RecoveryInstance":
         if len(amplitudes) != self.k or any(a <= 0 for a in amplitudes):
             raise InvalidParameter("need exactly k positive amplitudes")
-        return RecoveryInstance(
-            self.d, self.n, self.k, self.jump_positions, tuple(amplitudes), self.scale, self.matrix
-        )
+        return replace(self, amplitudes=tuple(amplitudes))
 
 
 def make_recovery_instance(
@@ -334,18 +338,26 @@ def make_recovery_instance(
     amplitude_rule: str = "ones",
 ) -> RecoveryInstance:
     """Uniform jump positions, amplitudes by rule ("ones" or "uniform"),
-    Gaussian measurement matrix read as integers at one power-of-two scale."""
+    Gaussian measurement matrix read as integers at one power-of-two scale;
+    a rank-deficient draw is redrawn whole, in this order, and counted."""
     if not 0 <= k <= d <= n:
         raise InvalidParameter(f"need 0 <= k <= d <= n, got k={k}, d={d}, n={n}")
     if amplitude_rule not in ("ones", "uniform"):
         raise InvalidParameter(f"unknown amplitude rule {amplitude_rule!r}")
     _check_size(d, n)
-    positions = tuple(sorted(int(v) + 1 for v in rng.choice(n, size=k, replace=False)))
-    if amplitude_rule == "ones":
-        amplitudes = tuple(Fraction(1) for _ in range(k))
-    else:
-        amplitudes = tuple(Fraction(float(1.0 - rng.random())) for _ in range(k))
-    return RecoveryInstance(d, n, k, positions, amplitudes, *_dyadic(rng.standard_normal((d, n))))
+    redraws = 0
+    while True:
+        positions = tuple(sorted(int(v) + 1 for v in rng.choice(n, size=k, replace=False)))
+        if amplitude_rule == "ones":
+            amplitudes = tuple(Fraction(1) for _ in range(k))
+        else:
+            amplitudes = tuple(Fraction(float(1.0 - rng.random())) for _ in range(k))
+        try:
+            return RecoveryInstance(d, n, k, positions, amplitudes, *_dyadic(rng.standard_normal((d, n))), redraws)
+        except DegenerateSample:
+            redraws += 1
+            if redraws > _MAX_REDRAWS:
+                raise
 
 
 # unused here, but tests/recovery_oracle.py calls it and rlahbench/tracing.py wraps it
@@ -367,9 +379,7 @@ def is_unique_recovery(inst: RecoveryInstance) -> bool:
     amplitudes do not enter.
     """
     d, n = inst.d, inst.n
-    if _rank(inst.matrix) < d:
-        raise DegenerateSample("measurement matrix is not of full row rank")
-    if n == d:  # G is injective
+    if n == d:  # G, of full row rank, is injective
         return True
     columns = [tuple(row[i] for row in inst.matrix) for i in range(n)]
     return _support(_walk(d, inst.scale, columns), [i - 1 for i in inst.jump_positions]) is not None
@@ -394,19 +404,9 @@ def estimate_recovery_probability(
     successes = 0
     rejects = 0
     for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        attempts = 0
-        while True:
-            try:
-                inst = make_recovery_instance(d, n, k, rng, amplitude_rule)
-                unique = is_unique_recovery(inst)
-                break
-            except DegenerateSample:
-                rejects += 1
-                attempts += 1
-                if attempts > _MAX_REDRAWS:
-                    raise
-        successes += unique
+        inst = make_recovery_instance(d, n, k, np.random.default_rng((seed, t)), amplitude_rule)
+        rejects += inst.redraws
+        successes += is_unique_recovery(inst)
     p_hat = successes / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return MCEstimate(d, n, k, trials, seed, p_hat, stderr, rejects)

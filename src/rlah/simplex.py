@@ -74,16 +74,14 @@ class LPResult:
 
 def _pivot(rows: List[List[int]], pr: int, pc: int, den: int) -> int:
     """Bareiss step on p = rows[pr][pc], in place: every other row becomes
-    (p row_i - f row_pr) / den, f = row_i[pc], skipped when f = 0 and p = den,
-    and with no division while den = 1.  Returns p, the new common denominator."""
+    (p row_i - f row_pr) / den, f = row_i[pc], skipped when f = 0 and p = den.
+    Returns p, the new common denominator."""
     prow = rows[pr]
     p = prow[pc]
     for i, row in enumerate(rows):
         if i != pr:
             f = row[pc]
-            if f and den == 1:
-                rows[i] = [p * a - f * c for a, c in zip(row, prow)]
-            elif f:
+            if f:
                 rows[i] = [(p * a - f * c) // den for a, c in zip(row, prow)]
             elif p != den:
                 rows[i] = [p * a // den for a in row]

@@ -20,6 +20,7 @@ from rlah.cones import (
     weak_threshold,
 )
 from rlah.errors import CapacityExceeded, InvalidParameter
+from rlah.montecarlo import estimate_recovery_probability
 from rlah.stirling import StirlingKind, lah_r, stirling_r
 
 from law_oracle import alternating_stirling_sum, expected_face_count_alt, face_ratio_complement
@@ -217,6 +218,10 @@ class TestRecoveryProbability:
         assert recovery_probability(2, 8, 2) == 0
         assert recovery_probability(3, 6, 3) == 0
         assert recovery_probability(0, 5, 0) == recovery_probability(0, 200, 0) == 0  # no prefix column at d = 0
+        # at n = d the formula still reads 0, but G is square and invertible, so recovery is sure
+        for d in (1, 2, 3, 6):
+            assert alternating_stirling_sum(d, d, d) == recovery_probability(d, d, d) == 0
+            assert estimate_recovery_probability(d, d, d, trials=20, seed=0).mean == 1.0
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):

@@ -93,25 +93,25 @@ def test_capacity_guard():
 
 def test_pmf_2_1_half():
     d = dist(2, 1, HALF)
-    assert d.pmf_items() == [(1, HALF), (2, HALF)]
+    assert [(j, d.pmf(j)) for j in d.support] == [(1, HALF), (2, HALF)]
     assert d.normalizer == 4
 
 
 def test_pmf_3_1_half():
     d = dist(3, 1, HALF)
-    assert d.pmf_items() == [(1, F(23, 72)), (2, F(1, 2)), (3, F(13, 72))]
+    assert [(j, d.pmf(j)) for j in d.support] == [(1, F(23, 72)), (2, F(1, 2)), (3, F(13, 72))]
 
 
 def test_point_mass_at_n_equals_k():
     d = dist(5, 5, F(7, 3))
-    assert d.pmf_items() == [(5, F(1))]
+    assert [(j, d.pmf(j)) for j in d.support] == [(5, F(1))]
     assert d.mode() == {5}
     assert d.expectation() == 5
 
 
 def test_support_for_r_zero():
     d = dist(6, 2, F(0))
-    assert all(p > 0 for _, p in d.pmf_items())
+    assert all(d.pmf(j) > 0 for j in d.support)
     assert d.pmf(1) == 0 and d.pmf(7) == 0
 
 
@@ -485,7 +485,7 @@ def test_every_method_matches_the_triangle_oracle(triple):
     support = range(k, n + 1)
     d = dist(n, k, r)
     assert d.normalizer == normalizer
-    assert d.pmf_items() == list(zip(support, pmf))
+    assert [(j, d.pmf(j)) for j in d.support] == list(zip(support, pmf))
     assert [d.pmf(j) for j in range(k - 1, n + 2)] == [0, *pmf, 0]
     assert [d.cdf(j) for j in range(k - 1, n + 2)] == [0, *cdf, 1]
     mean = sum(j * p for j, p in zip(support, pmf))
@@ -598,9 +598,12 @@ def test_log_pmf_raises_past_its_head_even_when_a_wider_head_memoized_j():
 def test_log_quotient_is_math_log_of_the_quotient():
     rng = random.Random(23)
     quotients = []
-    for bits in [*range(1023, 1102), 1500, 4000, 33000]:
+    # below 1024 bits the quotient is a float, past it a frexp
+    for bits in [*range(1, 201), 500, 1000, 1022, *range(1023, 1102), 1500, 4000, 33000]:
         top = 1 << (bits - 1)
-        quotients += [top | rng.getrandbits(bits - 1), top, (1 << bits) - 1]  # the last rounds to 1.0
+        quotients += [top | rng.getrandbits(bits - 1), top, (1 << bits) - 1]  # past 53 bits the last rounds up
+        if bits < 54:  # exact in binary64: no halfway case
+            continue
         for mantissa in (top >> (bits - 53), (1 << 53) - 1, (top >> (bits - 53)) + 1):  # even, odd, odd
             tie = (mantissa << (bits - 53)) | (1 << (bits - 54))  # exactly halfway between two doubles
             quotients += [tie, tie + 1, tie - 1]

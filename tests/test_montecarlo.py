@@ -376,9 +376,35 @@ class TestRecovery:
 
     def test_degenerate_matrix_detected(self):
         row = (1, 2, 3, 4)
-        inst = RecoveryInstance(2, 4, 1, (2,), (F(1),), 1, (row, row))
         with pytest.raises(DegenerateSample):
-            is_unique_recovery(inst)
+            RecoveryInstance(2, 4, 1, (2,), (F(1),), 1, (row, row))
+
+    def test_degenerate_draw_is_redrawn_whole_and_counted(self, monkeypatch):
+        dyadic, left = montecarlo._dyadic, [2]  # degenerate matrices still to draw
+
+        def degenerate(draws):
+            scale, rows = dyadic(draws)
+            if left[0]:
+                left[0] -= 1
+                return scale, (rows[0],) * len(rows)  # one row repeated: rank 1
+            return scale, rows
+
+        monkeypatch.setattr(montecarlo, "_dyadic", degenerate)
+        inst = make_recovery_instance(3, 6, 2, np.random.default_rng(5), "uniform")
+        rng = np.random.default_rng(5)
+        for _ in range(3):  # the third draw: positions, amplitudes, matrix
+            positions = tuple(sorted(int(v) + 1 for v in rng.choice(6, size=2, replace=False)))
+            amplitudes = tuple(F(float(1.0 - v)) for v in rng.random(2))
+            draws = rng.standard_normal((3, 6))
+        assert (inst.jump_positions, inst.amplitudes, inst.matrix) == (positions, amplitudes, dyadic(draws)[1])
+        assert inst.redraws == 2
+        left[0] = 2
+        assert estimate_recovery_probability(3, 6, 2, trials=3, seed=0).rejects == 2
+        left[0] = montecarlo._MAX_REDRAWS
+        assert make_recovery_instance(3, 6, 2, np.random.default_rng(5)).redraws == montecarlo._MAX_REDRAWS
+        left[0] = montecarlo._MAX_REDRAWS + 1
+        with pytest.raises(DegenerateSample):
+            make_recovery_instance(3, 6, 2, np.random.default_rng(5))
 
     @pytest.mark.parametrize("rule", ["ones", "uniform"])
     def test_integer_matrix_and_walk_match_the_fractions(self, rule, monkeypatch):
