@@ -151,8 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", type=str, help="n grid as lo:hi (or a single value)")
     p.add_argument("--d", type=int, help="single ambient dimension")
     p.add_argument("--n", type=int, help="single walk length")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=None)
+    common(p, k=True)
 
     p = sub.add_parser("threshold", help="weak-threshold classification")
     p.add_argument("--k", type=int, required=True)

@@ -211,7 +211,8 @@ def _prefix(n: int, r: Fraction, j_max: int, size: int = 0, lo: int = 0) -> List
     passes the default study's widest window, clamped here to ``_HEAD_COST_CAP // n``.  The kernel
     steps up from the largest cached row m < n of the same r that covers the
     run, multiplying in only the factors m..n-1, so rows of one r at nearby n
-    share their work.  The one kernel caller; its one caller, :func:`_head_row`, holds ``_cache_lock``.
+    share their work.  The distribution layer's one kernel caller; its one caller, :func:`_head_row`,
+    holds ``_cache_lock``.
     """
 
     def covers(m: int, s: _Band, width: int, lo: int) -> bool:

@@ -375,12 +375,12 @@ def is_unique_recovery(inst: RecoveryInstance) -> bool:
     columns.  So x, which lies in the relative interior of the chamber's face
     spanned by its jump indicators, is the unique preimage iff the walk steps
     at its jump positions span a k-face of pos(S).  That is one face test on
-    the walk: pointedness when k = 0, and never a face when k = d < n.  The
-    amplitudes do not enter.
+    the walk: pointedness when k = 0, and never a face when k = d < n.  At
+    n = d the d steps, G being of full row rank, span a simplicial cone, so
+    every jump set is a face and recovery is sure.  The amplitudes do not
+    enter.
     """
     d, n = inst.d, inst.n
-    if n == d:  # G, of full row rank, is injective
-        return True
     columns = [tuple(row[i] for row in inst.matrix) for i in range(n)]
     return _support(_walk(d, inst.scale, columns), [i - 1 for i in inst.jump_positions]) is not None
 

@@ -14,9 +14,9 @@ second-kind column is a linear recurrence in n.  ``stirling_r`` reads one
 entry from them; the PMF rows of :mod:`rlah.distribution` read whole
 slices.  A Fraction is built only at the boundary.
 
-``check_n_max`` is the one row-cap check: n may not exceed an explicit
-``n_max``, else ``$RLAH_N_MAX``, else 4096.  PMF heads take no row cap;
-their work is bounded by j_hi * n in :func:`rlah.distribution.pmf_head`.
+``check_n_max`` is the one row-cap check: n may not exceed the ``n_max``
+given with the call, else 4096.  PMF heads take no row cap; their work is
+bounded by j_hi * n in :func:`rlah.distribution.pmf_head`.
 
 ``RStirlingTable`` fills the whole triangle of one kind by the recurrences
 above, in Fractions.  No production path reads it; the tests' oracles
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 import threading
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -36,7 +35,6 @@ from .errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
 from .rational import RationalLike, as_rational
 
 DEFAULT_N_MAX = 4096
-_N_MAX_ENV = "RLAH_N_MAX"
 
 
 class StirlingKind(enum.Enum):
@@ -44,17 +42,9 @@ class StirlingKind(enum.Enum):
     SECOND = "second"
 
 
-def effective_n_max(override: int | None = None) -> int:
-    """Row cap for exact tables: explicit override, else $RLAH_N_MAX, else 4096."""
-    if override is not None:
-        return override
-    env = os.environ.get(_N_MAX_ENV)
-    if not env:
-        return DEFAULT_N_MAX
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise InvalidParameter(f"${_N_MAX_ENV} must be an integer, got {env!r}") from exc
+def effective_n_max(n_max: int | None = None) -> int:
+    """The row cap for exact tables: ``n_max`` when given, else 4096."""
+    return DEFAULT_N_MAX if n_max is None else n_max
 
 
 def check_n_max(n: int, n_max: int | None = None) -> None:

@@ -137,7 +137,6 @@ def test_faces_runs_the_prefix_kernel_once_per_n(capsys, monkeypatch):
 
 def test_faces_admits_every_row_before_any_ratio(capsys, monkeypatch):
     monkeypatch.setattr(cones, "pmf_head", lambda *args: pytest.fail(f"a ratio was computed: {args}"))
-    monkeypatch.delenv("RLAH_N_MAX", raising=False)
     start = time.perf_counter()
     code, out = run_cli(capsys, "faces", "--d", "3", "--n-range", "3:100000000", "--k", "1")
     assert time.perf_counter() - start < 1.0
@@ -300,9 +299,8 @@ def test_validation_exit_code(capsys):
     ],
     ids=["stirling", "lah", "pmf", "stats", "pgf", "faces", "recovery", "pgf-default-cap"],
 )
-def test_capacity_exit_code(capsys, monkeypatch, argv):
+def test_capacity_exit_code(capsys, argv):
     # every command that takes --n-max refuses a row past its cap before any work
-    monkeypatch.delenv("RLAH_N_MAX", raising=False)
     start = time.perf_counter()
     code, out = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 0.3
@@ -344,21 +342,13 @@ def test_unparseable_arguments_exit_2_with_record(capsys, argv):
     assert json.loads(out)["kind"] == "InvalidParameter"
 
 
-@pytest.mark.parametrize(
-    "argv,code_want",
-    [
-        (("lah", "--n", "3", "--k", "1", "--r", "1/2"), 2),
-        # asymptotics has no row cap, so it never reads the variable
-        (("asymptotics", "--n", "100", "--k", "1", "--r", "1/2"), 0),
-    ],
-    ids=["lah", "asymptotics"],
-)
-def test_bad_n_max_environment_exits_2(capsys, monkeypatch, argv, code_want):
-    monkeypatch.setenv("RLAH_N_MAX", "abc")
-    code, out = run_cli(capsys, *argv)
-    assert code == code_want
-    if code_want == 2:
-        assert json.loads(out)["kind"] == "InvalidParameter"
+@pytest.mark.parametrize("value", ["5", "abc"])
+def test_row_cap_reads_no_environment(capsys, monkeypatch, value):
+    # the cap is n_max or --n-max, else 4096: a variable named like it moves nothing
+    monkeypatch.setenv("RLAH_N_MAX", value)
+    assert stirling.stirling_r(stirling.StirlingKind.FIRST, 6, 1, F(1, 2)) == F(4881, 8)
+    code, out = run_cli(capsys, "lah", "--n", "3", "--k", "1", "--r", "1/2")
+    assert (code, out.splitlines()) == (0, ["value", "18"])
 
 
 def test_out_file_in_missing_directory_exits_2(tmp_path, capsys):
@@ -421,7 +411,6 @@ def spy_stirling_kernels(monkeypatch):
 @pytest.mark.parametrize("kind", ["first", "second"])
 def test_unprintable_stirling_entry_is_refused_before_any_kernel(capsys, monkeypatch, kind):
     runs = spy_stirling_kernels(monkeypatch)
-    monkeypatch.delenv("RLAH_N_MAX", raising=False)
     start = time.perf_counter()
     code, out = run_cli(capsys, "stirling", "--kind", kind, "--n", "4096", "--k", "2048", "--r", "1/2")
     assert (code, runs) == (3, [])

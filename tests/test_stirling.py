@@ -85,12 +85,6 @@ class TestErrors:
         with pytest.raises(CapacityExceeded):
             lah_r(50, 1, F(1, 2), n_max=10)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("RLAH_N_MAX", "5")
-        with pytest.raises(CapacityExceeded):
-            stirling_r(FIRST, 6, 1, F(1, 2))
-        assert stirling_r(FIRST, 5, 1, F(1, 2)) > 0
-
 
 @pytest.mark.parametrize("r", R_GRID)
 @pytest.mark.parametrize("kind", [FIRST, SECOND])
