@@ -27,36 +27,21 @@ import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
-from .distribution import DEFAULT_ZS, AdmissibleTriple, _window_head, mode_exact, pmf_head
+from .distribution import (
+    DEFAULT_ZS,
+    AdmissibleTriple,
+    _window_end,
+    _window_head,
+    digamma,
+    mode_exact,
+    pmf_head,
+)
 from .errors import DomainError, InvalidParameter
 from .rational import RationalLike, as_rational
 
 DEFAULT_XS = (2.0, 0.5)  # large-deviation points of the default convergence study
 
 # -- real special functions ---------------------------------------------------
-
-def digamma(x: float) -> float:
-    """Gamma'(x)/Gamma(x) for x > 0: recurrence shift to x >= 10, then the
-    asymptotic series; absolute error below 1e-12 on the shifted range."""
-    if x <= 0:
-        raise DomainError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = (
-        math.log(x)
-        - 0.5 / x
-        - inv2
-        * (
-            1.0 / 12
-            - inv2
-            * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 * (1.0 / 240 - inv2 * (1.0 / 132 - inv2 * 691.0 / 32760))))
-        )
-    )
-    return acc + series
-
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via erfc; Phi(0) = 1/2 exactly."""
@@ -226,7 +211,7 @@ def kolmogorov_distance(
         cdf += p
         best = max(best, abs(cdf - normal_cdf(z)))
     # beyond the window both CDFs sit within these exact tails of 1
-    tail_exact = float(head.upper_tail(head.j_hi + 1))
+    tail_exact = head._cdf_float(head.j_hi, complement=True)
     tail_normal = 1.0 - normal_cdf(clt_normalize(head.j_hi + shift, n, k, float(r)))
     return max(best, tail_exact, tail_normal)
 
@@ -284,6 +269,22 @@ def _log_mgf_exact(n: int, k: int, r: Fraction, z: float) -> float:
         head = pmf_head(n, k, r, min(n, head.j_hi * 2))
 
 
+def _mgf_scale(n: int, k: int, r: Fraction, z: float) -> float:
+    """lambda_n (e^z - 1), the scale of ``mod_poisson_residual`` at a z other
+    than 0, after its checks: a z that is not finite, or whose scale
+    overflows binary64, raises DomainError."""
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got {z}")
+    lam = lambda_n(n, k, float(r))
+    try:
+        scale = lam * (math.exp(z) - 1.0)
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf:
+        raise DomainError(f"lambda_n (e^z - 1) overflows binary64 at z={z}")
+    return scale
+
+
 def mod_poisson_residual(n: int, k: int, r: RationalLike, z: float) -> float:
     """E[e^{z X}] / e^{lambda_n (e^z - 1)}, the quantity converging to Psi(z).
 
@@ -293,17 +294,9 @@ def mod_poisson_residual(n: int, k: int, r: RationalLike, z: float) -> float:
     """
     r = as_rational(r)
     AdmissibleTriple(n, k, r)
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got {z}")
     if z == 0.0:
         return 1.0  # numerator and denominator coincide identically
-    lam = lambda_n(n, k, float(r))
-    try:
-        scale = lam * (math.exp(z) - 1.0)
-    except OverflowError:
-        scale = math.inf
-    if scale == math.inf:
-        raise DomainError(f"lambda_n (e^z - 1) overflows binary64 at z={z}")
+    scale = _mgf_scale(n, k, r, z)
     try:
         return math.exp(_log_mgf_exact(n, k, r, z) - scale)
     except OverflowError:
@@ -312,16 +305,17 @@ def mod_poisson_residual(n: int, k: int, r: RationalLike, z: float) -> float:
 
 def ldp_tail_ratio(n: int, k: int, r: RationalLike, x: float) -> Tuple[float, float, float]:
     """(exact tail, asymptotic tail, ratio) at the lattice point nearest
-    (k+r) x log n; upper tail for x > 1, lower tail for x < 1.  An
-    approximant that underflows to 0 raises DomainError."""
+    (k+r) x log n; upper tail for x > 1, lower tail for x < 1, read on a
+    head that covers that point.  An approximant that underflows to 0
+    raises DomainError."""
     r = as_rational(r)
     j, _ = ldp_lattice_point(n, k, float(r), x)
-    head = _window_head(n, k, r, math.log(max(x, 1.0)) + 0.1)
+    head = _window_head(n, k, r, reach=j)
     if x > 1:
-        exact = float(head.upper_tail(j))
+        exact = head._cdf_float(j - 1, complement=True)
         approx = ldp_upper_tail(n, k, float(r), x)
     elif 0 < x < 1:
-        exact = float(head.head_cdf(j))
+        exact = head._cdf_float(j)
         approx = ldp_lower_tail(n, k, float(r), x)
     else:
         raise DomainError("x must differ from 1 for a tail ratio")
@@ -338,8 +332,31 @@ def convergence_table(
     zs: Iterable[float] = DEFAULT_ZS,
     ldp_xs: Iterable[float] = DEFAULT_XS,
 ) -> List[dict]:
-    """Rows (n, statistic, exact, approximant, gap) for convergence studies."""
+    """Rows (n, statistic, exact, approximant, gap) for convergence studies.
+
+    The first head of every statistic at every n is admitted before any
+    kernel runs, in the rows' order and with the checks that each row makes
+    before its head: a study past the work cap is refused at once, and a
+    check that fails first in row order still raises first.  Only an error
+    found after a kernel run (a residual or tail past binary64) can now give
+    way to the refusal of a later n.
+    """
     r = as_rational(r)
+    zs, ldp_xs = tuple(zs), tuple(ldp_xs)
+    for n in ns:
+        _window_end(n, k, r)  # Kolmogorov, local limit and mode
+        lambda_n(n, k, float(r))
+        for z in zs:
+            if z != 0.0:
+                _mgf_scale(n, k, r, z)
+                _window_end(n, k, r, z)
+            psi_limit(k, float(r), z)
+        for x in ldp_xs:
+            try:
+                j, _ = ldp_lattice_point(n, k, float(r), x)
+            except DomainError:
+                continue
+            _window_end(n, k, r, reach=j)
     rows: List[dict] = []
 
     def add(n, statistic, exact, approximant):

@@ -251,7 +251,7 @@ def _run(args: argparse.Namespace, out: IO[str]) -> None:
             for n in range(max(ns.start, d), ns.stop):
                 queries.append(cones.ConeFaceQuery(d, n, k))
                 stirling.check_n_max(n, args.n_max)
-                distribution._admit_head(n, k, d - 1)  # face_ratio's head
+                distribution._admit_head(n, k, Fraction(1, 2), d - 1)  # face_ratio's head
         # each n's widest row first, so its prefix kernel runs once and not once per d
         ratios = {q: cones.face_ratio(q, n_max=args.n_max) for q in sorted(queries, key=lambda q: (q.n, -q.d))}
         rows = []

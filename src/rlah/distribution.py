@@ -21,10 +21,13 @@ a prefix for k <= n/2, a band near k = n.  Row n is row m < n times the
 factors m..n-1, so a row steps up from the nearest cached row of the same r
 that covers it, and rows at nearby n share their kernel work.
 
-``pmf_head`` is a view of a row's prefix {k, ..., j_hi}, at O(j_hi * n)
-big-integer work, which is what makes exact tail sums, CDF heads and modes
-reachable at n = 10^4.  One rule sizes every certified window
-(``_head_window``), and ``_admit_head`` refuses one whose j_hi * n passes
+``pmf_head`` is a view of a row's prefix {k, ..., j_hi}, at about
+n * min(j_hi + 1, n - max(0, 2k - n) + 1) big-integer steps, which is what
+makes exact tail sums, CDF heads and modes reachable at n = 10^4.  One rule
+sizes every certified window (``_head_window``, from the mean of the
+e^{zX}-tilted law), one cost model prices the run a head needs from its
+sizes alone (``_kernel_cost``: n, the band and the bit length of the
+factors), and ``_admit_head`` refuses a head whose cost passes
 ``_HEAD_COST_CAP`` before any kernel runs.  The limit statistics take their
 first head from ``_window_head``, whose floor, the default study's widest
 window, ``_prefix`` clamps to the cap: one (n, k, r) study runs the kernel once.
@@ -52,7 +55,7 @@ from typing import Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
-from .errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
+from .errors import CapacityExceeded, DomainError, InadmissibleParameters, InvalidParameter
 from .rational import (
     RationalLike,
     as_rational,
@@ -129,7 +132,7 @@ def pgf_eval(params: AdmissibleTriple, t: RationalLike) -> Fraction:
 # -- exact prefix of the PMF for large n --------------------------------------
 
 _CACHE_BUDGET_BYTES = 64 * 2**20  # head rows and first-kind prefixes together
-_HEAD_COST_CAP = 40_000_000  # j_hi * n bound on the work of one PMF head
+_HEAD_COST_CAP = 120 * 10**9  # bound on the _kernel_cost of one PMF head
 DEFAULT_ZS = (-0.5, 0.3, 1.0)  # mod-Poisson points of the default convergence study
 
 
@@ -198,6 +201,25 @@ _cache = _ByteLRU()
 _cache_lock = threading.Lock()
 
 
+def _kernel_cost(n: int, r: Fraction, band: int) -> int:
+    """Predicted work of a cold run of ``band`` first-kind columns of row n:
+    the cost model of every exact head, a function of sizes alone.
+
+    The run is charged from row 0, whatever is cached, so an admission never
+    depends on the cache.  Row i holds integers of about i * bits bits, bits
+    the bit length of p + q*n, which bounds every factor p + q*i, and each
+    band step multiplies one of them by a factor of ceil(bits / 30) machine
+    digits: a 1000-bit factor makes every step 34 digits long.  So a run costs
+    about band * n^2 * bits * ceil(bits / 30) / 2 units.  On one core of a
+    2.1 GHz Intel Xeon a unit took 0.05 to 0.06 ns at n = 10^4 and 2 * 10^4
+    (r = 1/2), 0.09 ns at n = 3000, where the interpreter's overhead per step
+    still shows, and 0.02 ns for factors of several digits: the cap of
+    1.2 * 10^11 units is 2 to 12 s of kernel.
+    """
+    bits = (r.numerator + r.denominator * n).bit_length()
+    return band * ((n * n * bits * -(-bits // 30) + 1) // 2)  # at least 1 per column
+
+
 def _prefix(n: int, r: Fraction, j_max: int, size: int = 0, lo: int = 0) -> List[int]:
     """Scaled first-kind row n on the columns [lo, j_max] (0 below its edge), shared by every k.
 
@@ -208,7 +230,8 @@ def _prefix(n: int, r: Fraction, j_max: int, size: int = 0, lo: int = 0) -> List
     column max(0, 2 * lo - n): at most twice the narrowest band, serving every
     later lo' >= 2 * lo - n.  That edge is 0 for lo <= n / 2, so heads at fixed
     k run the whole prefix.  The one caller with a ``size``, :func:`_window_head`,
-    passes the default study's widest window, clamped here to ``_HEAD_COST_CAP // n``.  The kernel
+    passes the default study's widest window, clamped here to the widest run
+    whose :func:`_kernel_cost` is within ``_HEAD_COST_CAP``.  The kernel
     steps up from the largest cached row m < n of the same r that covers the
     run, multiplying in only the factors m..n-1, so rows of one r at nearby n
     share their work.  The distribution layer's one kernel caller; its one caller, :func:`_head_row`,
@@ -221,7 +244,7 @@ def _prefix(n: int, r: Fraction, j_max: int, size: int = 0, lo: int = 0) -> List
     key = ("prefix", n, r)
     b = _cache.get(key)
     if b is None or not covers(n, b, min(j_max, n), lo):
-        j_max = max(j_max, min(size, _HEAD_COST_CAP // n))
+        j_max = max(j_max, min(size, _HEAD_COST_CAP // _kernel_cost(n, r, 1) - 1))
         width, lo = min(j_max, n), max(0, 2 * lo - n)
         start = (0, (1,))
         for (kind, m, rr, *_), (s, _) in _cache._entries.items():  # a peek: LRU order stays
@@ -373,6 +396,17 @@ class PmfHead:
         """Exact P[X >= j], via 1 - P[X <= j-1]."""
         return 1 - self.head_cdf(j - 1)
 
+    def _cdf_float(self, j: int, complement: bool = False) -> float:
+        """float(head_cdf(j)), or float(upper_tail(j + 1)) with ``complement``,
+        bit for bit and with no gcd: int true division of the unreduced pair
+        is correctly rounded, as is the float of the reduced Fraction."""
+        j = min(j, self.params.n)
+        if not self._in_head(j):
+            return float(complement)
+        row = self._row()
+        c = row.cum[j - self.params.k]
+        return (row.den - c if complement else c) / row.den
+
 
 class LahDistribution(PmfHead):
     """The whole r-Lah distribution: the PMF head whose window is the support.
@@ -498,50 +532,109 @@ def _pmf_head_cached(n: int, k: int, r: Fraction, j_hi: int) -> PmfHead:
     return PmfHead(AdmissibleTriple(n, k, r), j_hi)
 
 
+def digamma(x: float) -> float:
+    """Gamma'(x)/Gamma(x) for x > 0: recurrence shift to x >= 10, then the
+    asymptotic series; absolute error below 1e-12 on the shifted range."""
+    if x <= 0:
+        raise DomainError(f"digamma requires x > 0, got {x}")
+    acc = 0.0
+    while x < 10.0:
+        acc -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    series = (
+        math.log(x)
+        - 0.5 / x
+        - inv2
+        * (
+            1.0 / 12
+            - inv2
+            * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 * (1.0 / 240 - inv2 * (1.0 / 132 - inv2 * 691.0 / 32760))))
+        )
+    )
+    return acc + series
+
+
 def _head_window(n: int, k: int, r: RationalLike, z: float = 0.0) -> int:
-    """End j_hi of the certified window for e^{zX} weights, z >= 0: 14
-    standard deviations past e^z lambda_n, lambda_n = (k+r) log n, plus 16,
-    rounded up to a multiple of 32 for reuse, and clamped to n."""
-    r = AdmissibleTriple(n, k, r).r  # before the log, which a negative k + r breaks
+    """End j_hi of the certified window for e^{zX} weights (a z below 0
+    takes the window of z = 0): past the tilted mass, at the next multiple
+    of 32 for reuse, clamped to n.
+
+    Tilted by e^{zj}, the first-kind factor c(n,j)_r of the weights is the
+    law of n independent steps of means x / (x + r + i), x = (k+r) e^z, and
+    the mass sits near their mean mu_z = x (psi(n + x + r) - psi(x + r)).
+    That is the mod-Poisson centre e^z (lambda_n - (k+r) psi(x + r)),
+    lambda_n = (k+r) log n, with log n refined to psi(n + x + r), which keeps
+    mu_z near n where x nears n and the tilt no longer holds.  The window
+    ends where a Poisson law at max(mu_z, k, 1) falls 48 nats below its top,
+    plus 16: past the last term that the mod-Poisson sums read, 40 nats below
+    their top.
+    """
+    r = AdmissibleTriple(n, k, r).r  # before the logs, which a negative k + r breaks
     try:
-        center = math.exp(max(z, 0.0)) * ((k + float(r)) * math.log(max(n, 2)))
-        j_hi = int(math.ceil(center + 14.0 * math.sqrt(center + 4.0))) + 16
-    except OverflowError:  # the center is past binary64, so past n
+        x = (k + float(r)) * math.exp(max(z, 0.0))
+        a = x + float(r)
+        # psi(n + a) - psi(a) is a sum of n terms 1 / (a + i) > 1 / (n + a): the
+        # bound holds it up where a >> n and the two floats cancel
+        mean = x * max(digamma(n + a) - digamma(a), n / (n + a)) if a else 0.0
+    except OverflowError:
         return n
-    return min(n, ((j_hi // 32) + 1) * 32)
+    if not mean < n:  # past n, or past binary64
+        return n
+    center = max(mean, k, 1.0)
+    top, log_center = math.floor(center), math.log(center)
+    lo, hi = top, n  # bisect for the first j whose Poisson drop from the top reaches 48 nats, else n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.lgamma(mid + 1) - math.lgamma(top + 1) - (mid - top) * log_center < 48.0:
+            lo = mid
+        else:
+            hi = mid
+    return min(n, ((hi + 16) // 32 + 1) * 32)
 
 
 def pmf_head(n: int, k: int, r: RationalLike, j_hi: int) -> PmfHead:
     """Exact PMF prefix on {k, ..., j_hi}; j_hi is clamped to n.
 
-    Unlike :func:`build_distribution` this takes no row cap: cost is
-    O(j_hi * n) big-integer operations, and j_hi * n past ``_HEAD_COST_CAP``
-    raises CapacityExceeded before any kernel runs.  Windows of one (n, k, r)
-    share one row, every k at one (n, r) one prefix, run exactly as wide as
-    asked: a caller that widens a head should double its requests.
+    Unlike :func:`build_distribution` this takes no row cap: its work is the
+    first-kind run of :func:`_kernel_cost`, and a head whose run costs more
+    than ``_HEAD_COST_CAP`` raises CapacityExceeded before any kernel runs.
+    Windows of one (n, k, r) share one row, every k at one (n, r) one prefix,
+    run exactly as wide as asked: a caller that widens a head should double
+    its requests.
     """
     r = as_rational(r)
     params = AdmissibleTriple(n, k, r)  # validate eagerly
-    return _pmf_head_cached(params.n, params.k, params.r, _admit_head(n, k, j_hi))
+    return _pmf_head_cached(params.n, params.k, params.r, _admit_head(n, k, params.r, j_hi))
 
 
-def _admit_head(n: int, k: int, j_hi: int) -> int:
-    """The window end j_hi clamped to n, once it covers k and j_hi * n is
-    within ``_HEAD_COST_CAP``: the admission rule of every exact head."""
+def _admit_head(n: int, k: int, r: Fraction, j_hi: int) -> int:
+    """The window end j_hi clamped to n, once it covers k and the run it
+    needs, the columns [max(0, 2k - n), j_hi] of row n, has a
+    :func:`_kernel_cost` within ``_HEAD_COST_CAP``: the admission rule of
+    every exact head."""
     j_hi = min(j_hi, n)
     if j_hi < k:
         raise InvalidParameter(f"j_hi={j_hi} is below the support start k={k}")
-    if j_hi * n > _HEAD_COST_CAP:
-        raise CapacityExceeded(f"exact head window {j_hi} x n={n} exceeds the work cap; reduce n or z")
+    if _kernel_cost(n, r, min(j_hi + 1, n - max(0, 2 * k - n) + 1)) > _HEAD_COST_CAP:
+        raise CapacityExceeded(
+            f"exact head window {j_hi} x n={n} exceeds the work cap; reduce n, z or the denominator of r"
+        )
     return j_hi
 
 
-def _window_head(n: int, k: int, r: Fraction, z: float = 0.0) -> PmfHead:
-    """``pmf_head`` on the window of e^{zX} weights, the first head of every
-    limit statistic, admitted (the work cap tested) before any kernel run.  A
-    run it starts is at least as wide as the window at z = max(DEFAULT_ZS), a
-    floor :func:`_prefix` clamps to the cap: a default study runs it once."""
-    j_hi = _admit_head(n, k, _head_window(n, k, r, z))  # validates (n, k, r)
+def _window_end(n: int, k: int, r: Fraction, z: float = 0.0, reach: int = 0) -> int:
+    """The admitted end of a limit statistic's first head: the window of
+    e^{zX} weights, widened to cover min(reach, n)."""
+    return _admit_head(n, k, r, max(_head_window(n, k, r, z), reach))  # validates (n, k, r) first
+
+
+def _window_head(n: int, k: int, r: Fraction, z: float = 0.0, reach: int = 0) -> PmfHead:
+    """``pmf_head`` on :func:`_window_end`, the first head of every limit
+    statistic, admitted (its cost tested) before any kernel run.  A run it
+    starts is at least as wide as the window at z = max(DEFAULT_ZS), a floor
+    :func:`_prefix` clamps to the cap: a default study runs it once."""
+    j_hi = _window_end(n, k, r, z, reach)
     _head_row(n, k, r, j_hi, _head_window(n, k, r, max(DEFAULT_ZS)))
     return pmf_head(n, k, r, j_hi)
 

@@ -15,8 +15,9 @@ entry from them; the PMF rows of :mod:`rlah.distribution` read whole
 slices.  A Fraction is built only at the boundary.
 
 ``check_n_max`` is the one row-cap check: n may not exceed the ``n_max``
-given with the call, else 4096.  PMF heads take no row cap; their work is
-bounded by j_hi * n in :func:`rlah.distribution.pmf_head`.
+given with the call, else 4096.  PMF heads take no row cap; the work of
+their first-kind runs is bounded by the cost model of
+:func:`rlah.distribution.pmf_head`.
 
 ``RStirlingTable`` fills the whole triangle of one kind by the recurrences
 above, in Fractions.  No production path reads it; the tests' oracles

@@ -42,7 +42,8 @@ def test_install_traces_a_head_and_uninstall_restores(tracing):
         tracer.active = True
         with tracer.span("op"):
             asymptotics.kolmogorov_distance(337, 1, F(1, 2))
-            distribution.pmf_head(337, 2, F(1, 2), 40).upper_tail(9)
+            head = distribution.pmf_head(337, 2, F(1, 2), 40)
+            head.upper_tail(9), head.head_cdf(12)  # kolmogorov_distance reads its tail with no head_cdf
         tracer.active = False
         metrics = tracing.layer_metrics(tracer, 1.0)
     finally:

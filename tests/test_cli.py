@@ -149,13 +149,13 @@ def test_faces_admits_every_row_before_any_ratio(capsys, monkeypatch):
 
 
 def test_faces_admits_rows_by_the_head_work_cap(capsys, monkeypatch):
-    # the row (6400, 6400) is past the j_hi * n work cap and comes before the
+    # the row (6400, 6400) is past the head work cap and comes before the
     # row past --n-max, so its record is printed, before any ratio
     monkeypatch.setattr(cones, "pmf_head", lambda *args: pytest.fail(f"a ratio was computed: {args}"))
     code, out = run_cli(capsys, "faces", "--n-max", "7000", "--d", "6400", "--n-range", "6400:7001", "--k", "1")
     assert code == 3
     assert json.loads(out) == {
-        "error": "exact head window 6399 x n=6400 exceeds the work cap; reduce n or z",
+        "error": "exact head window 6399 x n=6400 exceeds the work cap; reduce n, z or the denominator of r",
         "kind": "CapacityExceeded",
     }
 
@@ -449,7 +449,7 @@ def test_asymptotics_past_the_head_work_cap_exits_3(capsys, monkeypatch):
     code, out = run_cli(capsys, "asymptotics", "--n", "400000", "--k", "1", "--r", "1/2")
     assert (code, runs) == (3, [])
     assert json.loads(out) == {
-        "error": "exact head window 128 x n=400000 exceeds the work cap; reduce n or z",
+        "error": "exact head window 96 x n=400000 exceeds the work cap; reduce n, z or the denominator of r",
         "kind": "CapacityExceeded",
     }
 

@@ -15,7 +15,7 @@ import math
 import random
 import time
 from fractions import Fraction as F
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -40,7 +40,7 @@ from rlah.distribution import (
     pgf_eval,
     pmf_head,
 )
-from rlah.errors import CapacityExceeded, InadmissibleParameters, InvalidParameter
+from rlah.errors import CapacityExceeded, DomainError, InadmissibleParameters, InvalidParameter
 from rlah.stirling import StirlingKind, lah_r, stirling_r
 
 from law_oracle import (
@@ -416,34 +416,82 @@ def test_mode_exact_matches_distribution(r):
     "n,k,r,z,j_hi",
     [
         (300, 1, HALF, 0.0, 96),
-        (3000, 1, HALF, 0.3, 128),
-        (3000, 1, HALF, 1.0, 160),
-        (10**4, 2, F(0), 0.0, 128),
-        (10**4, 1, HALF, math.log(2) + 0.1, 160),
+        (3000, 1, HALF, 0.3, 96),
+        (3000, 1, HALF, 1.0, 128),
+        (10**4, 2, F(0), 0.0, 96),
+        (10**4, 1, HALF, math.log(2) + 0.1, 128),
         (40, 1, HALF, 0.0, 40),  # clamped to n
         (7, 0, F(1000), 0.0, 7),
         (2, 1, F(0), 710.0, 2),  # e^z overflows binary64: the whole support
+        (3000, 1, F(7, 3), 1.0, 160),
+        (100, 8, F(5), 2.0, 100),  # (k+r) e^z nears n: the tilt's mean, not lambda_n, reaches n
+        (300, 1, F(1), 40.0, 300),  # psi(n + a) - psi(a) cancels in binary64 at a = 5e17
     ],
 )
 def test_head_window_golden(n, k, r, z, j_hi):
     assert distribution._head_window(n, k, r, z) == j_hi
 
 
+# the grid of the window rule: n, k, r and z of every limit statistic and of the default studies
+WINDOW_GRID_NS = (30, 100, 300, 1000)
+WINDOW_GRID_KS = (0, 1, 2, 3, 5, 8)
+WINDOW_GRID_RS = (F(0), F(1, 3), HALF, F(1), F(7, 3), F(5))
+WINDOW_GRID_ZS = (-0.5, 0.0, 0.3, math.log(2) + 0.1, 1.0, 1.5, 2.0)
+
+
+def test_every_window_reaches_the_terms_the_mgf_sums_read():
+    """Each window reaches min(n, the last j whose e^{zj}-tilted term lies
+    within 40 nats of the top, plus 2): every term the mod-Poisson sum takes
+    exactly, and its two edge terms past them, so its bits do not depend on
+    the window.  Read off the bounds of a full head, for 980 points."""
+    points = 0
+    with fresh_cache():
+        for n in WINDOW_GRID_NS:
+            for k, r in product(WINDOW_GRID_KS, WINDOW_GRID_RS):
+                if k == 0 and r == 0:
+                    continue
+                bounds = pmf_head(n, k, r, n)._log_pmf_bounds()
+                for z in WINDOW_GRID_ZS:
+                    tilted = [z * j + b for j, b in enumerate(bounds, start=k)]
+                    cut = max(tilted) - 40.0
+                    last = max(j for j, t in enumerate(tilted, start=k) if t >= cut)
+                    assert distribution._head_window(n, k, r, z) >= min(n, last + 2), (n, k, r, z)
+                    points += 1
+    assert points == 980
+
+
 def test_pmf_head_past_the_work_cap_raises_before_any_kernel_call(monkeypatch):
     calls = []
     monkeypatch.setattr(distribution, "_first_kind_prefix_scaled", lambda *args: calls.append(args))
-    n = 400_000
-    j_hi = distribution._HEAD_COST_CAP // n + 1
+    n = 10**4
+    j_hi = distribution._HEAD_COST_CAP // distribution._kernel_cost(n, HALF, 1)  # a band of j_hi + 1 columns
+    assert j_hi == 160
+    assert distribution._admit_head(n, 1, HALF, j_hi - 1) == j_hi - 1
     with fresh_cache(), pytest.raises(CapacityExceeded) as info:
         pmf_head(n, 1, HALF, j_hi)
-    assert str(info.value) == f"exact head window {j_hi} x n={n} exceeds the work cap; reduce n or z"
+    assert str(info.value) == f"exact head window {j_hi} x n={n} exceeds the work cap; reduce n, z or the denominator of r"
     assert calls == []
+
+
+def test_the_work_cap_charges_the_band_and_the_factor_length():
+    admit = distribution._admit_head
+    # near k = n a head runs the band [2k - n, j_hi]: 21 columns at (10^4, 9990)
+    assert admit(10**4, 9990, HALF, 10**4) == 10**4
+    with pytest.raises(CapacityExceeded):
+        admit(10**4, 5000, HALF, 10**4)
+    # a 1000-bit factor makes every step 34 machine digits long
+    assert admit(300, 1, F(1, 10**300), 64) == 64
+    with pytest.raises(CapacityExceeded):
+        admit(300, 1, F(1, 10**300), 96)
+    assert admit(300, 1, F(1, 10**30), 300) == 300
 
 
 def test_mode_exact_past_the_work_cap_is_refused_at_once():
     start = time.perf_counter()
     with pytest.raises(CapacityExceeded):
         mode_exact(400_000, 1, HALF)
+    with pytest.raises(CapacityExceeded):  # a window centred near k = 5e14 is sized by bisection, not by steps
+        mode_exact(10**15, 5 * 10**14, HALF)
     assert time.perf_counter() - start < 0.3
 
 
@@ -638,8 +686,8 @@ def test_default_mod_poisson_study_takes_few_exact_logs():
         for z in DEFAULT_ZS:
             mod_poisson_residual(n, k, r, z)
         row = cache.get(("head", n, k, r))
-    assert len(row.cum) == 160  # the window at z = 1
-    assert len(row.logs) <= 90  # 85: j = 1..79 and the two edge terms of the 96-, 128- and 160-column windows
+    assert len(row.cum) == 128  # the window at z = 1
+    assert len(row.logs) <= 90  # 83: j = 1..79 and the two edge terms of the 96- and 128-column windows
 
 
 def test_two_k_share_one_first_kind_prefix(monkeypatch):
@@ -791,20 +839,37 @@ def test_limit_statistics_run_the_kernel_once_per_n_r(kernel_runs):
 
 def test_convergence_table_runs_the_kernel_once_per_n_r(kernel_runs):
     with fresh_cache():
-        for k, r in ((1, HALF), (0, HALF), (2, F(0))):
+        for k, r in ((1, HALF), (0, HALF), (2, F(0)), (1, F(7, 3))):
             convergence_table([300, 1000], k, r)
-    assert sorted(kernel_runs) == [(300, F(0)), (300, HALF), (1000, F(0)), (1000, HALF)]
+    assert sorted(kernel_runs) == [(n, r) for n in (300, 1000) for r in (F(0), HALF, F(7, 3))]
+
+
+def test_a_study_past_the_work_cap_is_refused_before_any_kernel_run(kernel_runs):
+    with fresh_cache():
+        with pytest.raises(CapacityExceeded, match="window 96 x n=300 "):  # 1000-bit factors
+            convergence_table([300], 1, F(1, 10**300))
+        with pytest.raises(CapacityExceeded, match="n=40000 "):
+            convergence_table([300, 40000], 1, HALF)
+        # what a row raises before its head still comes first
+        with pytest.raises(DomainError, match="z must be finite"):
+            convergence_table([300, 40000], 1, HALF, zs=(0.3, math.inf))
+        with pytest.raises(DomainError, match="Gamma ratio"):
+            convergence_table([300, 40000], 1, F(0), zs=(-800.0,))
+        with pytest.raises(InvalidParameter, match="n must be >= 2"):
+            convergence_table([1, 40000], 1, HALF)
+    assert kernel_runs == []
 
 
 def test_a_statistic_whose_default_window_passes_the_cap_still_returns(monkeypatch, kernel_runs):
-    n, k, r = 300, 1, HALF
+    n, k, r = 300, 1, F(7, 3)
     assert (distribution._head_window(n, k, r), distribution._head_window(n, k, r, max(DEFAULT_ZS))) == (96, 128)
-    monkeypatch.setattr(distribution, "_HEAD_COST_CAP", 100 * n)  # the 96-column window fits, the 128 does not
+    # the 96-column window fits, the 128 does not
+    monkeypatch.setattr(distribution, "_HEAD_COST_CAP", distribution._kernel_cost(n, r, 101))
     with fresh_cache() as cache:
-        # the values of ASYMPTOTICS_GOLDEN below, now from one run sized at the cap
-        assert kolmogorov_distance(n, k, r) == 0.1145645783959024
-        assert llt_sup_gap(n, k, r) == 0.08691924840582875
-        assert mode_exact(n, k, r) == {8}
+        # the values of a run 128 columns wide, now from one run sized at the cap
+        assert kolmogorov_distance(n, k, r) == 0.5229650775954048
+        assert llt_sup_gap(n, k, r) == 0.20403229106066323
+        assert mode_exact(n, k, r) == {13}
         assert len(cache.get(("prefix", n, r))) == 101
         with pytest.raises(CapacityExceeded):
             mod_poisson_residual(n, k, r, max(DEFAULT_ZS))
@@ -815,8 +880,12 @@ def test_no_kernel_run_is_wider_than_its_admitted_request(monkeypatch):
     """Each run is max(request, floor) wide, and within the work cap: a
     widening head does not double past what ``pmf_head`` admitted."""
     r = HALF
-    cap = 100 * 300
+    cap = distribution._kernel_cost(300, r, 101)
     monkeypatch.setattr(distribution, "_HEAD_COST_CAP", cap)
+
+    def widest(n):
+        return cap // distribution._kernel_cost(n, r, 1) - 1  # 100 at n = 300, 99 at n = 301
+
     widths = []
     kernel = distribution._first_kind_prefix_scaled
 
@@ -828,7 +897,7 @@ def test_no_kernel_run_is_wider_than_its_admitted_request(monkeypatch):
 
     requests = [
         (300, 1, 60),
-        (300, 1, 70),  # twice the cached width would be 120 > cap // n
+        (300, 1, 70),  # twice the cached width would be 120 > widest(300)
         (300, 2, None),  # _window_head: 96 columns, floored at the cap's 100
         (300, 0, 100),
         (301, 1, 80),  # stepped up from row 300
@@ -839,11 +908,11 @@ def test_no_kernel_run_is_wider_than_its_admitted_request(monkeypatch):
             before, floor = len(widths), 0
             if j_hi is None:
                 j_hi = distribution._window_head(n, k, r).j_hi
-                floor = min(distribution._head_window(n, k, r, max(DEFAULT_ZS)), cap // n)
+                floor = min(distribution._head_window(n, k, r, max(DEFAULT_ZS)), widest(n))
             else:
                 pmf_head(n, k, r, j_hi)
-            assert all(w <= max(j_hi, floor) and w <= cap // n for w in widths[before:]), (n, k, widths)
-    assert widths == [60, 70, 100, 80, 96]
+            assert all(w <= max(j_hi, floor) and w <= widest(n) for w in widths[before:]), (n, k, widths)
+    assert widths == [60, 70, 100, 80, 64]
 
 
 def test_the_sum_check_fires_on_the_first_full_width_read(monkeypatch):
