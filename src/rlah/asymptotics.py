@@ -232,33 +232,24 @@ def llt_sup_gap(n: int, k: int, r: RationalLike) -> float:
 def _log_mgf_exact(n: int, k: int, r: Fraction, z: float) -> float:
     """log E[e^{z X}] from the exact head, with a certified truncation bound.
 
-    The summand e^{z j} P[X = j] is log-concave in j, so once it decreases at
-    the window edge the remainder is dominated by a geometric series; the
-    window is grown until that bound is 1e-12-negligible.
-
-    The sum reads the exact ``log_pmf`` only where it can change a bit.  A
-    bound z j + log w[j] - log den (``PmfHead._log_pmf_bounds``) lies within
-    1e-9 of each term u_j, far inside the 1/2 that the cut allows.  The exact
-    u_j is taken for every j up to the last one whose bound is at least
-    max(bound) - 40, and for the two edge terms that the truncation test
-    reads.  Every term past that cut comes after the top term, where the
-    running sum (left to right, in binary64) is already at least 1, and
-    e^{u_j - top} < e^{-39} < 2^-54 is below half an ulp of it, so adding the
-    term, or leaving it out, changes no partial sum.  ``top``, the sum and
-    the growth decision are thus those of the all-exact sum, bit for bit.
+    Each term u_j = z j + ``log_pmf(j)`` is the log of P[X = j] rounded once,
+    a short true division with no gcd, so the sum takes every term of its
+    window.  The summand e^{z j} P[X = j] is log-concave in j, so once it
+    decreases at the window edge the remainder is dominated by a geometric
+    series; the window is grown until that bound is 1e-12-negligible.  A
+    term past the top and more than 40 nats below it meets a running sum
+    (left to right, in binary64) that is already at least 1, and is below
+    half an ulp of it: a window that reaches past the last term within 40
+    nats of the top gives the same bits however far it reaches.
     """
     head = _window_head(n, k, r, z)
     while True:
-        js = range(k, head.j_hi + 1)
-        bounds = [z * j + b for j, b in zip(js, head._log_pmf_bounds())]
-        cut = max(bounds) - 40.0
-        last = max(j for j, b in zip(js, bounds) if b >= cut)
-        terms = {j: z * j + head.log_pmf(j) for j in js if j <= last or j >= head.j_hi - 1}
-        top = max(terms.values())
-        log_sum = top + math.log(sum(math.exp(t - top) for t in terms.values()))
+        terms = [z * j + head.log_pmf(j) for j in range(k, head.j_hi + 1)]
+        top = max(terms)
+        log_sum = top + math.log(sum(math.exp(t - top) for t in terms))
         if head.j_hi >= n:
             return log_sum
-        u_last, u_prev = terms[head.j_hi], terms[head.j_hi - 1]
+        u_last, u_prev = terms[-1], terms[-2]
         if u_last < u_prev:
             ratio = math.exp(u_last - u_prev)
             if ratio == 0.0:  # u_last - u_prev < -745: the tail is far below the sum

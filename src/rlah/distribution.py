@@ -7,8 +7,12 @@ For an admissible triple (n, k, r) the law lives on {k, ..., n} with
 where c and S are the r-Stirling numbers of the first and second kind and
 L(n,k)_r the r-Lah number.  Everything in this module is exact: PMF, CDF,
 moments, parity split, mode, and the probability generating function.
-Sampling is the only place a float appears, and there only in the final
-comparison of a 53-bit uniform against once-rounded exact CDF thresholds.
+A float appears in three places.  Each float of an exact value
+(``pmf_float``, ``log_pmf``, the CDF floats and the sampling thresholds) is
+that value rounded once, by one int true division of its integer pair;
+the window rule ``_head_window`` sizes heads in binary64, which sets how
+far a head reaches, never what a value is; and sampling compares a 53-bit
+uniform against those once-rounded thresholds.
 
 Every PMF value comes from one kind of object, an integer head row.  With b
 the scaled first-kind prefix of row n and t the scaled second-kind column k,
@@ -51,7 +55,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -170,18 +174,18 @@ class _HeadRow:
     With b and t the scaled first- and second-kind slices, the weight of j
     is w[j] = b[j] * t[j] and P[X = j] = w[j] / den, where den = q^n L(n,k)_r
     is the sum of all weights.  ``cum[i]`` is w[k] + ... + w[k+i]; the row
-    only grows upward, so one row serves every window of its key.  ``logs``
-    memoizes the exact log-PMF of each j that ``PmfHead.log_pmf`` was asked
-    for, and of no other j: the mgf sums read cheaper bounds past their cut.
+    only grows upward, so one row serves every window of its key.  It holds
+    integers only, and ``nbytes`` counts each of them: every float a head
+    reads (``pmf_float``, ``log_pmf``, the CDF floats) is one short true
+    division on them, taken afresh.
     """
 
-    __slots__ = ("k", "den", "cum", "logs", "nbytes")
+    __slots__ = ("k", "den", "cum", "nbytes")
 
     def __init__(self, k: int, den: int):
         self.k = k
         self.den = den
         self.cum: List[int] = []
-        self.logs: Dict[int, float] = {}
         self.nbytes = sys.getsizeof(den)
 
     def weight(self, j: int) -> int:
@@ -282,28 +286,6 @@ def _head_row(n: int, k: int, r: Fraction, j_hi: int, size: int = 0) -> _HeadRow
         return row
 
 
-def _log_quotient(a: int, g: int) -> float:
-    """``math.log(a // g)`` bit for bit, for positive a and a divisor g of a.
-
-    Int true division is correctly rounded, so a / g is float(a // g), and
-    ``math.log`` of an int logs that float whenever it exists.  Where it
-    overflows, so does a / g, and ``math.log`` takes frexp(a // g) = (m, e),
-    e the bit length and m the quotient over 2^e rounded to 53 bits (to 1/2
-    and e + 1 when it rounds to 1), and returns log(m) + log(2) * e.  That
-    m is the true division a / (g << e).  Neither route runs the long
-    division: each quotient has a few digits.
-    """
-    try:
-        return math.log(a / g)
-    except OverflowError:
-        e = a.bit_length() - g.bit_length()
-        e += a >= g << e  # the bit length of a // g
-        m = a / (g << e)
-        if m == 1.0:
-            m, e = 0.5, e + 1
-        return math.log(m) + math.log(2.0) * e
-
-
 @dataclass(frozen=True)
 class PmfHead:
     """Exact PMF on the support prefix {k, ..., j_hi}, a view of a cached row.
@@ -356,28 +338,21 @@ class PmfHead:
         return row.weight(j) / row.den
 
     def log_pmf(self, j: int) -> float:
-        """log P[X = j], exact to the bit: log(numerator) - log(denominator)
-        of the reduced fraction w/den, with g = gcd(w, den) and each log taken
-        by :func:`_log_quotient` without dividing out g.  Memoized per j on
-        the row; -inf off the support, and past j_hi it raises as ``pmf``
-        does, even when a wider head memoized j."""
+        """log P[X = j], the log of P rounded once to 53 bits, with no gcd and
+        no Fraction: ``math.log(pmf_float(j))`` where that float is normal
+        (at least 2^-1022).  Below it, where the float loses bits, P is
+        rounded with its exponent e = den.bit_length() - w.bit_length() set
+        aside: log(m) - e log 2, m = (w << e) / den in (1/2, 2), one short
+        true division.  -inf off the support; raises past j_hi as ``pmf`` does."""
         if not self._in_head(j):
             return -math.inf
         row = self._row()
-        if j not in row.logs:
-            w = row.weight(j)
-            g = math.gcd(w, row.den)
-            row.logs[j] = _log_quotient(w, g) - _log_quotient(row.den, g)
-        return row.logs[j]
-
-    def _log_pmf_bounds(self) -> List[float]:
-        """log w[j] - log den for j = k..j_hi, by ``math.log`` on the unreduced
-        integers: no gcd, nothing memoized.  ``log_pmf(j)`` logs the same
-        ratio, reduced, so the two differ only by the rounding of four float
-        logs, each within about bit length * 2^-53: below 1e-9 for integers
-        of fewer than 10^6 bits."""
-        log_den = math.log(self._row().den)
-        return [math.log(w) - log_den for w in self._weights()]
+        w = row.weight(j)
+        p = w / row.den
+        if p >= sys.float_info.min:
+            return math.log(p)
+        e = row.den.bit_length() - w.bit_length()
+        return math.log((w << e) / row.den) - e * math.log(2.0)
 
     def _weights(self) -> List[int]:
         """Integer weights w[k..j_hi], all over the same denominator."""
@@ -567,8 +542,8 @@ def _head_window(n: int, k: int, r: RationalLike, z: float = 0.0) -> int:
     lambda_n = (k+r) log n, with log n refined to psi(n + x + r), which keeps
     mu_z near n where x nears n and the tilt no longer holds.  The window
     ends where a Poisson law at max(mu_z, k, 1) falls 48 nats below its top,
-    plus 16: past the last term that the mod-Poisson sums read, 40 nats below
-    their top.
+    plus 16: past the last term that can change a mod-Poisson sum, 40 nats
+    below its top.
     """
     r = AdmissibleTriple(n, k, r).r  # before the logs, which a negative k + r breaks
     try:

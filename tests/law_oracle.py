@@ -23,10 +23,11 @@ way, so the tests can hold the two together:
   :func:`rlah.cones.expected_face_count`, which is binom(n,k) times the head
   sum;
 - the mod-Poisson residual through the exact pgf, through a binary64
-  log-space PMF row and through the same certified head sum with every
-  term's log exact (the log of each reduced ``Fraction``), against the sum
-  of :func:`rlah.asymptotics.mod_poisson_residual`, which reads exact logs
-  only where they can change a bit.
+  log-space PMF row, through an mpmath sum over the exact PMF at 40 digits,
+  and through the same certified head sum with each term's log taken from
+  ``float(Fraction)``, against :func:`rlah.asymptotics.mod_poisson_residual`,
+  whose terms are ``log_pmf``: the log of each P rounded once, read off the
+  unreduced integer pair.
 
 The log-space row rolls the r-Stirling slices through log-sum-exp and costs
 O(n^2) flops; the Fraction sums cost a full row each.  Neither is used
@@ -36,10 +37,12 @@ outside the tests.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from fractions import Fraction
 from typing import Dict, Tuple
 
+import mpmath
 import numpy as np
 
 from rlah.asymptotics import lambda_n
@@ -267,6 +270,17 @@ def log_fraction(v: Fraction) -> float:
     return math.log(v.numerator) - math.log(v.denominator)
 
 
+def log_rounded(p: Fraction) -> float:
+    """log float(p), the log of p rounded once by the Fraction's own
+    division; -inf for 0.  Raises below 2^-1022, where the float loses bits."""
+    if p == 0:
+        return -math.inf
+    f = float(p)
+    if f < sys.float_info.min:
+        raise ValueError(f"{f!r} is below the normal range of binary64")
+    return math.log(f)
+
+
 def _scale(n: int, k: int, r: Fraction, z: float) -> float:
     return lambda_n(n, k, float(r)) * (math.exp(z) - 1.0)
 
@@ -293,17 +307,40 @@ def residual_via_logspace(n: int, k: int, r: RationalLike, z: float) -> float:
     return math.exp(log_sum - _scale(n, k, r, z))
 
 
+def residual_via_mpmath(n: int, k: int, r: RationalLike, z: float, dps: int = 40) -> float:
+    """The residual in mpmath at ``dps`` digits, rounded once: e^{zj} P[X = j]
+    summed over the exact PMF Fractions from j = k until the terms, past
+    their peak (they are log-concave in j), fall below 10^-dps of the sum,
+    over e^{lambda_n (e^z - 1)} with lambda_n and e^z taken in mpmath."""
+    r = as_rational(r)
+    with mpmath.workdps(dps):
+        ez, eps = mpmath.exp(z), mpmath.mpf(10) ** -dps
+        total = prev = mpmath.mpf(0)
+        head = pmf_head(n, k, r, k)
+        for j in range(k, n + 1):
+            if j > head.j_hi:
+                head = pmf_head(n, k, r, 2 * head.j_hi + 32)
+            p = head.pmf(j)
+            term = mpmath.mpf(p.numerator) / p.denominator * ez**j
+            total += term
+            if term < prev and term < eps * total:
+                break
+            prev = term
+        lam = (k + mpmath.mpf(r.numerator) / r.denominator) * mpmath.log(n)
+        return float(total / mpmath.exp(lam * (ez - 1)))
+
+
 def residual_all_exact(n: int, k: int, r: RationalLike, z: float, j_hi: int) -> float:
     """The residual summed as :func:`rlah.asymptotics.mod_poisson_residual`
-    sums it, from the first window {k, ..., j_hi}, with every term exact:
-    z j + log P[X = j] for each j of the window, the log of the reduced
-    Fraction.  The window doubles until the same geometric tail certificate
+    sums it, from the first window {k, ..., j_hi}, with every term from the
+    Fraction route: z j + :func:`log_rounded` of P[X = j] for each j of the
+    window.  The window doubles until the same geometric tail certificate
     holds (or it covers n)."""
     r = as_rational(r)
     j_hi = min(j_hi, n)
     while True:
         head = pmf_head(n, k, r, j_hi)
-        terms = [z * j + log_fraction(head.pmf(j)) for j in range(k, j_hi + 1)]
+        terms = [z * j + log_rounded(head.pmf(j)) for j in range(k, j_hi + 1)]
         top = max(terms)
         log_sum = top + math.log(sum(math.exp(t - top) for t in terms))
         if j_hi >= n:

@@ -17,6 +17,7 @@ import time
 from fractions import Fraction as F
 from itertools import accumulate, product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,11 +46,12 @@ from rlah.stirling import StirlingKind, lah_r, stirling_r
 
 from law_oracle import (
     expectation_alt,
-    log_fraction,
+    log_rounded,
     mean_via_pmf,
     parity_via_pmf,
     pgf_via_pmf,
     residual_all_exact,
+    residual_via_mpmath,
     table_for,
     variance_via_pmf,
 )
@@ -441,18 +443,19 @@ WINDOW_GRID_ZS = (-0.5, 0.0, 0.3, math.log(2) + 0.1, 1.0, 1.5, 2.0)
 
 def test_every_window_reaches_the_terms_the_mgf_sums_read():
     """Each window reaches min(n, the last j whose e^{zj}-tilted term lies
-    within 40 nats of the top, plus 2): every term the mod-Poisson sum takes
-    exactly, and its two edge terms past them, so its bits do not depend on
-    the window.  Read off the bounds of a full head, for 980 points."""
+    within 40 nats of the top, plus 2): every term that can change the
+    mod-Poisson sum, and two edge terms past them, so its bits do not depend
+    on the window.  Read off the ``log_pmf`` of a full head, for 980 points."""
     points = 0
     with fresh_cache():
         for n in WINDOW_GRID_NS:
             for k, r in product(WINDOW_GRID_KS, WINDOW_GRID_RS):
                 if k == 0 and r == 0:
                     continue
-                bounds = pmf_head(n, k, r, n)._log_pmf_bounds()
+                head = pmf_head(n, k, r, n)
+                logs = [head.log_pmf(j) for j in range(k, n + 1)]
                 for z in WINDOW_GRID_ZS:
-                    tilted = [z * j + b for j, b in enumerate(bounds, start=k)]
+                    tilted = [z * j + b for j, b in enumerate(logs, start=k)]
                     cut = max(tilted) - 40.0
                     last = max(j for j, t in enumerate(tilted, start=k) if t >= cut)
                     assert distribution._head_window(n, k, r, z) >= min(n, last + 2), (n, k, r, z)
@@ -626,8 +629,28 @@ def test_float_and_log_accessors_are_bit_identical(n, k, r):
     for j in range(k - 1, head.j_hi + 1):
         p = head.pmf(j)
         assert head.pmf_float(j) == float(p)
-        assert head.log_pmf(j) == log_fraction(p)
-        assert head.log_pmf(j) == log_fraction(p)  # memoized value
+        assert head.log_pmf(j) == log_rounded(p)
+
+
+def assert_log_pmf_near_mpmath(head, js):
+    """Each log_pmf(j) within 4 * 2^-53 * max(1, |log P|) of mpmath's log P."""
+    with mpmath.workdps(40):
+        for j in js:
+            p = head.pmf(j)
+            want = mpmath.log(p.numerator) - mpmath.log(p.denominator)
+            assert abs(head.log_pmf(j) - want) <= 4 * 2.0**-53 * max(1, abs(want)), j
+
+
+@pytest.mark.parametrize("n,k,r", [(40, 2, HALF), (1000, 1, HALF), (3000, 0, F(7, 3)), (300, 2, F(0))])
+def test_log_pmf_is_within_four_ulps_of_mpmath(n, k, r):
+    head = pmf_head(n, k, r, 200)
+    assert_log_pmf_near_mpmath(head, range(k, head.j_hi + 1))
+
+
+def test_log_pmf_below_the_normal_range_is_within_four_ulps_of_mpmath():
+    head = pmf_head(300, 1, HALF, 300)
+    assert head.pmf_float(250) == head.pmf_float(300) == 0.0  # P below 2^-1022
+    assert_log_pmf_near_mpmath(head, (250, 300))
 
 
 def test_log_pmf_raises_past_its_head_even_when_a_wider_head_memoized_j():
@@ -635,29 +658,12 @@ def test_log_pmf_raises_past_its_head_even_when_a_wider_head_memoized_j():
     with fresh_cache():
         with pytest.raises(InvalidParameter):
             pmf_head(n, k, r, 100).log_pmf(150)
-        assert pmf_head(n, k, r, 200).log_pmf(150) < 0  # memoizes j = 150 on the shared row
+        assert pmf_head(n, k, r, 200).log_pmf(150) < 0  # grows the shared row past j = 150
         narrow = pmf_head(n, k, r, 100)
         for read in (narrow.pmf, narrow.log_pmf):
             with pytest.raises(InvalidParameter):
                 read(150)
         assert narrow.log_pmf(k - 1) == narrow.log_pmf(n + 1) == -math.inf
-
-
-def test_log_quotient_is_math_log_of_the_quotient():
-    rng = random.Random(23)
-    quotients = []
-    # below 1024 bits the quotient is a float, past it a frexp
-    for bits in [*range(1, 201), 500, 1000, 1022, *range(1023, 1102), 1500, 4000, 33000]:
-        top = 1 << (bits - 1)
-        quotients += [top | rng.getrandbits(bits - 1), top, (1 << bits) - 1]  # past 53 bits the last rounds up
-        if bits < 54:  # exact in binary64: no halfway case
-            continue
-        for mantissa in (top >> (bits - 53), (1 << 53) - 1, (top >> (bits - 53)) + 1):  # even, odd, odd
-            tie = (mantissa << (bits - 53)) | (1 << (bits - 54))  # exactly halfway between two doubles
-            quotients += [tie, tie + 1, tie - 1]
-    for q in quotients:
-        for g in (1, 3, rng.getrandbits(64) | 1, rng.getrandbits(2000) | 1 << 1999, rng.getrandbits(30000) | 1):
-            assert distribution._log_quotient(q * g, g) == math.log(q), (q.bit_length(), g.bit_length())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -680,14 +686,23 @@ def test_mod_poisson_sum_is_the_all_exact_sum_when_its_window_grows(monkeypatch)
     assert grown[:3] == [14, 28, 56]
 
 
-def test_default_mod_poisson_study_takes_few_exact_logs():
+@pytest.mark.parametrize("n", [300, 1000])
+@pytest.mark.parametrize("z", DEFAULT_ZS)
+def test_mod_poisson_residual_is_within_1e_14_of_mpmath(n, z):
+    want = residual_via_mpmath(n, 1, HALF, z)
+    assert abs(mod_poisson_residual(n, 1, HALF, z) - want) <= 1e-14 * want
+
+
+def test_default_mod_poisson_study_takes_no_gcd(monkeypatch):
     n, k, r = 3000, 1, HALF
-    with fresh_cache() as cache:
+    calls = []
+    gcd = math.gcd
+    with fresh_cache():
+        pmf_head(n, k, r, 128)  # the window at z = 1: its row, and den, are built here
+        monkeypatch.setattr(math, "gcd", lambda *a: calls.append(a) or gcd(*a))
         for z in DEFAULT_ZS:
             mod_poisson_residual(n, k, r, z)
-        row = cache.get(("head", n, k, r))
-    assert len(row.cum) == 128  # the window at z = 1
-    assert len(row.logs) <= 90  # 83: j = 1..79 and the two edge terms of the 96- and 128-column windows
+    assert calls == []
 
 
 def test_two_k_share_one_first_kind_prefix(monkeypatch):
@@ -1068,17 +1083,17 @@ ASYMPTOTICS_GOLDEN = """\
 n,statistic,exact,approximant,gap
 300,clt_kolmogorov,0.1145645783959024,0.0,0.1145645783959024
 300,llt_sup_gap,0.08691924840582875,0.0,0.08691924840582875
-300,mod_poisson_residual[z=-0.5],1.1016814187505843,1.1276831220846328,0.026001703334048498
-300,mod_poisson_residual[z=0.3],0.7434008606257798,0.7391437027322936,0.004257157893486241
-300,mod_poisson_residual[z=1],0.07927436170935567,0.07714970570030037,0.0021246560090553007
+300,mod_poisson_residual[z=-0.5],1.1016814187505353,1.1276831220846328,0.02600170333409757
+300,mod_poisson_residual[z=0.3],0.7434008606257551,0.7391437027322936,0.004257157893461483
+300,mod_poisson_residual[z=1],0.07927436170935794,0.07714970570030037,0.002124656009057563
 300,mode,8.0,7.5,0.5
 300,ldp_tail[x=2],0.001321355403378738,0.0023000433690076854,0.0009786879656289475
 300,ldp_tail[x=0.5],0.07742583986751934,0.09360085225902287,0.016175012391503527
 1000,clt_kolmogorov,0.10494201163097494,0.0,0.10494201163097494
 1000,llt_sup_gap,0.07884402726240389,0.0,0.07884402726240389
-1000,mod_poisson_residual[z=-0.5],1.1149561823602194,1.1276831220846328,0.01272693972441341
-1000,mod_poisson_residual[z=0.3],0.7404704447540648,0.7391437027322936,0.0013267420217711878
-1000,mod_poisson_residual[z=1],0.07778310524468707,0.07714970570030037,0.0006333995443866952
+1000,mod_poisson_residual[z=-0.5],1.114956182360037,1.1276831220846328,0.012726939724595931
+1000,mod_poisson_residual[z=0.3],0.7404704447540532,0.7391437027322936,0.0013267420217596415
+1000,mod_poisson_residual[z=1],0.07778310524470117,0.07714970570030037,0.000633399544400795
 1000,mode,9.0,9.5,0.5
 1000,ldp_tail[x=2],0.0004553112596811729,0.000793790572232428,0.00033847931255125504
 1000,ldp_tail[x=0.5],0.06025588519819109,0.06937184971378466,0.009115964515593565
