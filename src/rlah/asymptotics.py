@@ -201,18 +201,18 @@ def kolmogorov_distance(
     r = as_rational(r)
     head = _window_head(n, k, r)
     shift = 0.5 if continuity_correction else 0.0
+    rf = float(r)
     best = 0.0
     cdf = 0.0
-    for j in range(k, head.j_hi + 1):
-        z = clt_normalize(j + shift, n, k, float(r))
-        p = head.pmf_float(j)
+    for j, p in enumerate(head.pmf_floats(), start=k):
+        z = clt_normalize(j + shift, n, k, rf)
         if not continuity_correction:
             best = max(best, abs(cdf - normal_cdf(z)))
         cdf += p
         best = max(best, abs(cdf - normal_cdf(z)))
     # beyond the window both CDFs sit within these exact tails of 1
     tail_exact = head._cdf_float(head.j_hi, complement=True)
-    tail_normal = 1.0 - normal_cdf(clt_normalize(head.j_hi + shift, n, k, float(r)))
+    tail_normal = 1.0 - normal_cdf(clt_normalize(head.j_hi + shift, n, k, rf))
     return max(best, tail_exact, tail_normal)
 
 
@@ -220,12 +220,13 @@ def llt_sup_gap(n: int, k: int, r: RationalLike) -> float:
     """sqrt(log n) * sup_j |P[X = j] - Gaussian local approximant(j)|."""
     r = as_rational(r)
     head = _window_head(n, k, r)
+    ps = head.pmf_floats()
+    rf = float(r)
     best = 0.0
-    for j in range(k, head.j_hi + 1):
-        gap = abs(head.pmf_float(j) - llt_gaussian_pmf(j, n, k, float(r)))
-        best = max(best, gap)
+    for j, p in enumerate(ps, start=k):
+        best = max(best, abs(p - llt_gaussian_pmf(j, n, k, rf)))
     # beyond the window both terms are below their decreasing edge values
-    edge = max(head.pmf_float(head.j_hi), llt_gaussian_pmf(head.j_hi + 1, n, k, float(r)))
+    edge = max(ps[-1], llt_gaussian_pmf(head.j_hi + 1, n, k, rf))
     return math.sqrt(math.log(n)) * max(best, edge)
 
 
@@ -234,9 +235,10 @@ def _log_mgf_exact(n: int, k: int, r: Fraction, z: float) -> float:
 
     Each term u_j = z j + ``log_pmf(j)`` is the log of P[X = j] rounded once,
     a short true division with no gcd, so the sum takes every term of its
-    window.  The summand e^{z j} P[X = j] is log-concave in j, so once it
-    decreases at the window edge the remainder is dominated by a geometric
-    series; the window is grown until that bound is 1e-12-negligible.  A
+    window, all read by one ``log_pmfs``.  The summand e^{z j} P[X = j] is
+    log-concave in j, so once it decreases at the window edge the remainder
+    is dominated by a geometric series; the window is grown until that
+    bound is 1e-12-negligible.  A
     term past the top and more than 40 nats below it meets a running sum
     (left to right, in binary64) that is already at least 1, and is below
     half an ulp of it: a window that reaches past the last term within 40
@@ -244,7 +246,7 @@ def _log_mgf_exact(n: int, k: int, r: Fraction, z: float) -> float:
     """
     head = _window_head(n, k, r, z)
     while True:
-        terms = [z * j + head.log_pmf(j) for j in range(k, head.j_hi + 1)]
+        terms = [z * j + u for j, u in enumerate(head.log_pmfs(), start=k)]
         top = max(terms)
         log_sum = top + math.log(sum(math.exp(t - top) for t in terms))
         if head.j_hi >= n:

@@ -7,12 +7,11 @@ For an admissible triple (n, k, r) the law lives on {k, ..., n} with
 where c and S are the r-Stirling numbers of the first and second kind and
 L(n,k)_r the r-Lah number.  Everything in this module is exact: PMF, CDF,
 moments, parity split, mode, and the probability generating function.
-A float appears in three places.  Each float of an exact value
-(``pmf_float``, ``log_pmf``, the CDF floats and the sampling thresholds) is
-that value rounded once, by one int true division of its integer pair;
-the window rule ``_head_window`` sizes heads in binary64, which sets how
-far a head reaches, never what a value is; and sampling compares a 53-bit
-uniform against those once-rounded thresholds.
+A float appears in two places.  Each float of an exact value
+(``pmf_float``, ``log_pmf``, their bulk forms and the CDF floats) is that
+value rounded once, by one int true division of its integer pair; and the
+window rule ``_head_window`` sizes heads in binary64, which sets how far a
+head reaches, never what a value is.
 
 Every PMF value comes from one kind of object, an integer head row.  With b
 the scaled first-kind prefix of row n and t the scaled second-kind column k,
@@ -37,7 +36,7 @@ first head from ``_window_head``, whose floor, the default study's widest
 window, ``_prefix`` clamps to the cap: one (n, k, r) study runs the kernel once.
 ``build_distribution`` checks the row cap and returns the view at full
 width, j_hi = n; its row is built on the first read that needs it (tables,
-CDF, sampling, log-concavity).  ``den``, the normalizer, mean, variance
+CDF, log-concavity).  ``den``, the normalizer, mean, variance
 and parity split are closed forms and the mode is read on a window.  Set
 probabilities (``mass``), CDF values, tails and floats are integer sums
 over ``den``, and a Fraction is built only at the API boundary.  The
@@ -56,8 +55,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, List, Set, Tuple
-
-import numpy as np
 
 from .errors import CapacityExceeded, DomainError, InadmissibleParameters, InvalidParameter
 from .rational import (
@@ -192,6 +189,11 @@ class _HeadRow:
         i = j - self.k
         return self.cum[i] - self.cum[i - 1] if i else self.cum[0]
 
+    def weights(self, j_hi: int) -> List[int]:
+        """w[k..j_hi], all over ``den``."""
+        cum = self.cum[: j_hi - self.k + 1]
+        return [cum[0]] + [b - a for a, b in zip(cum, cum[1:])]
+
 
 class _Band(list):
     """A cached first-kind row, exact from column ``lo`` up and 0 below it."""
@@ -286,6 +288,20 @@ def _head_row(n: int, k: int, r: Fraction, j_hi: int, size: int = 0) -> _HeadRow
         return row
 
 
+def _log_ratio(w: int, den: int) -> float:
+    """log(w / den) for 0 < w <= den, the log of the ratio rounded once to 53
+    bits, with no gcd and no Fraction: ``math.log(w / den)`` where that float
+    is normal (at least 2^-1022).  Below it, where the float loses bits, the
+    ratio is rounded with its exponent e = den.bit_length() - w.bit_length()
+    set aside: log(m) - e log 2, m = (w << e) / den in (1/2, 2), one short
+    true division.  The one rule of ``log_pmf`` and ``log_pmfs``."""
+    p = w / den
+    if p >= sys.float_info.min:
+        return math.log(p)
+    e = den.bit_length() - w.bit_length()
+    return math.log((w << e) / den) - e * math.log(2.0)
+
+
 @dataclass(frozen=True)
 class PmfHead:
     """Exact PMF on the support prefix {k, ..., j_hi}, a view of a cached row.
@@ -337,27 +353,29 @@ class PmfHead:
         row = self._row()
         return row.weight(j) / row.den
 
+    def pmf_floats(self) -> List[float]:
+        """``pmf_float(j)`` for j = k..j_hi, read off one row lookup."""
+        row = self._row()
+        den = row.den
+        return [w / den for w in row.weights(self.j_hi)]
+
     def log_pmf(self, j: int) -> float:
-        """log P[X = j], the log of P rounded once to 53 bits, with no gcd and
-        no Fraction: ``math.log(pmf_float(j))`` where that float is normal
-        (at least 2^-1022).  Below it, where the float loses bits, P is
-        rounded with its exponent e = den.bit_length() - w.bit_length() set
-        aside: log(m) - e log 2, m = (w << e) / den in (1/2, 2), one short
-        true division.  -inf off the support; raises past j_hi as ``pmf`` does."""
+        """log P[X = j] by :func:`_log_ratio`; -inf off the support, and
+        raises past j_hi as ``pmf`` does."""
         if not self._in_head(j):
             return -math.inf
         row = self._row()
-        w = row.weight(j)
-        p = w / row.den
-        if p >= sys.float_info.min:
-            return math.log(p)
-        e = row.den.bit_length() - w.bit_length()
-        return math.log((w << e) / row.den) - e * math.log(2.0)
+        return _log_ratio(row.weight(j), row.den)
+
+    def log_pmfs(self) -> List[float]:
+        """``log_pmf(j)`` for j = k..j_hi, read off one row lookup."""
+        row = self._row()
+        den = row.den
+        return [_log_ratio(w, den) for w in row.weights(self.j_hi)]
 
     def _weights(self) -> List[int]:
         """Integer weights w[k..j_hi], all over the same denominator."""
-        cum = self._row().cum[: self.j_hi - self.params.k + 1]
-        return [cum[0]] + [b - a for a, b in zip(cum, cum[1:])]
+        return self._row().weights(self.j_hi)
 
     def head_cdf(self, j: int) -> Fraction:
         """Exact P[X <= j] for j <= j_hi (or any j when the head covers n)."""
@@ -459,23 +477,7 @@ class LahDistribution(PmfHead):
                 return False, i + self.params.k
         return True, None
 
-    # -- sampling and export ---------------------------------------------------
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Inverse-CDF draws against once-rounded binary64 thresholds.
-
-        Each exact CDF value is rounded to the nearest double once (int true
-        division is correctly rounded, so cum[i] / den is float(P[X <= k+i]));
-        ties of the uniform against a threshold resolve upward.  Per-draw
-        distortion is at most 2^-53.  Deterministic given the generator state.
-        """
-        if count < 0:
-            raise InvalidParameter(f"count must be >= 0, got {count}")
-        row = self._row()
-        thresholds = np.array([c / row.den for c in row.cum])
-        u = rng.random(count)
-        idx = np.searchsorted(thresholds, u, side="right")
-        return idx + self.params.k
+    # -- export ---------------------------------------------------------------
 
     def to_rows(self, *, include_cdf: bool = False) -> List[dict]:
         """One row per j: P[X = j] (and P[X <= j]) reduced by one gcd each, and
@@ -483,7 +485,7 @@ class LahDistribution(PmfHead):
         head = self._row()  # one lookup for the table, not one per read
         den = head.den
         rows = []
-        for j, w, c in zip(self.support, self._weights(), head.cum):
+        for j, w, c in zip(self.support, head.weights(self.j_hi), head.cum):
             g = math.gcd(w, den)
             row = {"j": j, "pmf_num": w // g, "pmf_den": den // g, "pmf_float": w / den}
             if include_cdf:
@@ -532,8 +534,7 @@ def digamma(x: float) -> float:
 
 def _head_window(n: int, k: int, r: RationalLike, z: float = 0.0) -> int:
     """End j_hi of the certified window for e^{zX} weights (a z below 0
-    takes the window of z = 0): past the tilted mass, at the next multiple
-    of 32 for reuse, clamped to n.
+    takes the window of z = 0): past the tilted mass, clamped to n.
 
     Tilted by e^{zj}, the first-kind factor c(n,j)_r of the weights is the
     law of n independent steps of means x / (x + r + i), x = (k+r) e^z, and
@@ -542,8 +543,8 @@ def _head_window(n: int, k: int, r: RationalLike, z: float = 0.0) -> int:
     lambda_n = (k+r) log n, with log n refined to psi(n + x + r), which keeps
     mu_z near n where x nears n and the tilt no longer holds.  The window
     ends where a Poisson law at max(mu_z, k, 1) falls 48 nats below its top,
-    plus 16: past the last term that can change a mod-Poisson sum, 40 nats
-    below its top.
+    which the tests find at least two terms past the last one within 40 nats
+    of the top, the last that can change a mod-Poisson sum.
     """
     r = AdmissibleTriple(n, k, r).r  # before the logs, which a negative k + r breaks
     try:
@@ -565,7 +566,7 @@ def _head_window(n: int, k: int, r: RationalLike, z: float = 0.0) -> int:
             lo = mid
         else:
             hi = mid
-    return min(n, ((hi + 16) // 32 + 1) * 32)
+    return hi
 
 
 def pmf_head(n: int, k: int, r: RationalLike, j_hi: int) -> PmfHead:

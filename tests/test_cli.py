@@ -449,7 +449,7 @@ def test_asymptotics_past_the_head_work_cap_exits_3(capsys, monkeypatch):
     code, out = run_cli(capsys, "asymptotics", "--n", "400000", "--k", "1", "--r", "1/2")
     assert (code, runs) == (3, [])
     assert json.loads(out) == {
-        "error": "exact head window 96 x n=400000 exceeds the work cap; reduce n, z or the denominator of r",
+        "error": "exact head window 75 x n=400000 exceeds the work cap; reduce n, z or the denominator of r",
         "kind": "CapacityExceeded",
     }
 

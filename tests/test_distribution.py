@@ -319,33 +319,6 @@ def test_coefficient_extraction_identity(r):
                 assert got == want, (r, k, n, j)
 
 
-# -- sampling ---------------------------------------------------------------------
-
-def test_sampling_point_mass():
-    d = dist(4, 4, HALF)
-    out = d.sample(np.random.default_rng(1), 5)
-    assert out.tolist() == [4, 4, 4, 4, 4]
-
-
-def test_sampling_empty():
-    assert dist(3, 1, HALF).sample(np.random.default_rng(0), 0).tolist() == []
-
-
-def test_sampling_mean_and_determinism():
-    d = dist(2, 1, HALF)
-    count = 100_000
-    draws = d.sample(np.random.default_rng(20240817), count)
-    # exact variance from the PMF is 1/4
-    assert abs(draws.mean() - 1.5) <= 3 * 0.5 / math.sqrt(count)
-    again = d.sample(np.random.default_rng(20240817), count)
-    assert (draws == again).all()
-
-
-def test_sampling_negative_count():
-    with pytest.raises(InvalidParameter):
-        dist(3, 1, HALF).sample(np.random.default_rng(0), -1)
-
-
 # -- export -------------------------------------------------------------------------
 
 def _cli_stdout(capsys, *argv):
@@ -417,15 +390,15 @@ def test_mode_exact_matches_distribution(r):
 @pytest.mark.parametrize(
     "n,k,r,z,j_hi",
     [
-        (300, 1, HALF, 0.0, 96),
-        (3000, 1, HALF, 0.3, 96),
-        (3000, 1, HALF, 1.0, 128),
-        (10**4, 2, F(0), 0.0, 96),
-        (10**4, 1, HALF, math.log(2) + 0.1, 128),
+        (300, 1, HALF, 0.0, 49),
+        (3000, 1, HALF, 0.3, 66),
+        (3000, 1, HALF, 1.0, 92),
+        (10**4, 2, F(0), 0.0, 73),
+        (10**4, 1, HALF, math.log(2) + 0.1, 91),
         (40, 1, HALF, 0.0, 40),  # clamped to n
         (7, 0, F(1000), 0.0, 7),
         (2, 1, F(0), 710.0, 2),  # e^z overflows binary64: the whole support
-        (3000, 1, F(7, 3), 1.0, 160),
+        (3000, 1, F(7, 3), 1.0, 135),
         (100, 8, F(5), 2.0, 100),  # (k+r) e^z nears n: the tilt's mean, not lambda_n, reaches n
         (300, 1, F(1), 40.0, 300),  # psi(n + a) - psi(a) cancels in binary64 at a = 5e17
     ],
@@ -441,26 +414,40 @@ WINDOW_GRID_RS = (F(0), F(1, 3), HALF, F(1), F(7, 3), F(5))
 WINDOW_GRID_ZS = (-0.5, 0.0, 0.3, math.log(2) + 0.1, 1.0, 1.5, 2.0)
 
 
+def assert_windows_reach(head, zs):
+    """Each window of the head's (n, k, r) reaches min(n, the last j whose
+    e^{zj}-tilted term lies within 40 nats of the top, plus 2): every term
+    that can change the mod-Poisson sum, and two edge terms past them, so
+    its bits do not depend on the window.  The head must reach past that
+    last term: a head short of n must end below the cut."""
+    (n, k, r), logs = (head.params.n, head.params.k, head.params.r), head.log_pmfs()
+    for z in zs:
+        tilted = [z * j + b for j, b in enumerate(logs, start=k)]
+        cut = max(tilted) - 40.0
+        assert head.j_hi == n or tilted[-1] < cut, (n, k, r, z)
+        last = max(j for j, t in enumerate(tilted, start=k) if t >= cut)
+        assert distribution._head_window(n, k, r, z) >= min(n, last + 2), (n, k, r, z)
+    return len(zs)
+
+
 def test_every_window_reaches_the_terms_the_mgf_sums_read():
-    """Each window reaches min(n, the last j whose e^{zj}-tilted term lies
-    within 40 nats of the top, plus 2): every term that can change the
-    mod-Poisson sum, and two edge terms past them, so its bits do not depend
-    on the window.  Read off the ``log_pmf`` of a full head, for 980 points."""
+    """``assert_windows_reach`` on full heads, for 980 points."""
     points = 0
     with fresh_cache():
         for n in WINDOW_GRID_NS:
             for k, r in product(WINDOW_GRID_KS, WINDOW_GRID_RS):
                 if k == 0 and r == 0:
                     continue
-                head = pmf_head(n, k, r, n)
-                logs = [head.log_pmf(j) for j in range(k, n + 1)]
-                for z in WINDOW_GRID_ZS:
-                    tilted = [z * j + b for j, b in enumerate(logs, start=k)]
-                    cut = max(tilted) - 40.0
-                    last = max(j for j, t in enumerate(tilted, start=k) if t >= cut)
-                    assert distribution._head_window(n, k, r, z) >= min(n, last + 2), (n, k, r, z)
-                    points += 1
+                points += assert_windows_reach(pmf_head(n, k, r, n), WINDOW_GRID_ZS)
     assert points == 980
+
+
+def test_the_windows_of_the_n_3000_limit_studies_reach_the_terms_the_mgf_sums_read():
+    """``assert_windows_reach`` at n = 3000, for the (k, r) of the limit
+    studies there, on 224-column heads: a full row at n = 3000 is too slow."""
+    with fresh_cache():
+        for k, r in ((1, HALF), (2, F(0)), (0, HALF), (1, F(7, 3))):
+            assert assert_windows_reach(pmf_head(3000, k, r, 224), (0.0, *DEFAULT_ZS)) == 4
 
 
 def test_pmf_head_past_the_work_cap_raises_before_any_kernel_call(monkeypatch):
@@ -549,9 +536,6 @@ def test_every_method_matches_the_triangle_oracle(triple):
     assert d.certify_log_concavity() == (violation is None, violation)
     for t in (F(-1), F(0), F(1, 3), F(2), F(-5, 2)):
         assert pgf_via_pmf(d, t) == sum(t ** j * p for j, p in zip(support, pmf))
-    thresholds = np.array([float(c) for c in cdf])
-    want = np.searchsorted(thresholds, np.random.default_rng(n).random(64), side="right") + k
-    assert d.sample(np.random.default_rng(n), 64).tolist() == want.tolist()
     rows = d.to_rows(include_cdf=True)
     assert [(row["j"], F(row["pmf_num"], row["pmf_den"]), row["pmf_float"], F(row["cdf_num"], row["cdf_den"]))
             for row in rows] == [(j, p, float(p), c) for j, p, c in zip(support, pmf, cdf)]
@@ -630,6 +614,9 @@ def test_float_and_log_accessors_are_bit_identical(n, k, r):
         p = head.pmf(j)
         assert head.pmf_float(j) == float(p)
         assert head.log_pmf(j) == log_rounded(p)
+    window = range(k, head.j_hi + 1)
+    assert head.pmf_floats() == [head.pmf_float(j) for j in window]
+    assert head.log_pmfs() == [head.log_pmf(j) for j in window]
 
 
 def assert_log_pmf_near_mpmath(head, js):
@@ -651,6 +638,8 @@ def test_log_pmf_below_the_normal_range_is_within_four_ulps_of_mpmath():
     head = pmf_head(300, 1, HALF, 300)
     assert head.pmf_float(250) == head.pmf_float(300) == 0.0  # P below 2^-1022
     assert_log_pmf_near_mpmath(head, (250, 300))
+    logs = head.log_pmfs()
+    assert (logs[250 - 1], logs[300 - 1]) == (head.log_pmf(250), head.log_pmf(300))
 
 
 def test_log_pmf_raises_past_its_head_even_when_a_wider_head_memoized_j():
@@ -693,12 +682,35 @@ def test_mod_poisson_residual_is_within_1e_14_of_mpmath(n, z):
     assert abs(mod_poisson_residual(n, 1, HALF, z) - want) <= 1e-14 * want
 
 
+def test_each_limit_statistic_reads_its_cached_row_a_fixed_number_of_times(monkeypatch):
+    """A statistic reads its window's floats from one row lookup, not one
+    per column: on cached heads the count is small and the same for a
+    window of 49 columns and of 135."""
+    reads = []
+    head_row = distribution._head_row
+    monkeypatch.setattr(distribution, "_head_row", lambda *a: reads.append(a) or head_row(*a))
+    stats = {
+        "kolmogorov": lambda n, k, r: kolmogorov_distance(n, k, r),
+        "kolmogorov, no correction": lambda n, k, r: kolmogorov_distance(n, k, r, continuity_correction=False),
+        "llt": llt_sup_gap,
+        **{f"mod_poisson[z={z:g}]": lambda n, k, r, z=z: mod_poisson_residual(n, k, r, z) for z in DEFAULT_ZS},
+    }
+    counts = {}
+    for name, stat in stats.items():
+        for n, k, r in ((300, 1, HALF), (3000, 1, F(7, 3))):
+            stat(n, k, r)  # builds the heads
+            reads.clear()
+            stat(n, k, r)
+            counts.setdefault(name, set()).add(len(reads))
+    assert all(len(c) == 1 and max(c) <= 3 for c in counts.values()), counts
+
+
 def test_default_mod_poisson_study_takes_no_gcd(monkeypatch):
     n, k, r = 3000, 1, HALF
     calls = []
     gcd = math.gcd
     with fresh_cache():
-        pmf_head(n, k, r, 128)  # the window at z = 1: its row, and den, are built here
+        pmf_head(n, k, r, 92)  # the window at z = 1: its row, and den, are built here
         monkeypatch.setattr(math, "gcd", lambda *a: calls.append(a) or gcd(*a))
         for z in DEFAULT_ZS:
             mod_poisson_residual(n, k, r, z)
@@ -861,8 +873,8 @@ def test_convergence_table_runs_the_kernel_once_per_n_r(kernel_runs):
 
 def test_a_study_past_the_work_cap_is_refused_before_any_kernel_run(kernel_runs):
     with fresh_cache():
-        with pytest.raises(CapacityExceeded, match="window 96 x n=300 "):  # 1000-bit factors
-            convergence_table([300], 1, F(1, 10**300))
+        with pytest.raises(CapacityExceeded, match="window 44 x n=300 "):  # 2000-bit factors
+            convergence_table([300], 1, F(1, 10**600))
         with pytest.raises(CapacityExceeded, match="n=40000 "):
             convergence_table([300, 40000], 1, HALF)
         # what a row raises before its head still comes first
@@ -877,15 +889,15 @@ def test_a_study_past_the_work_cap_is_refused_before_any_kernel_run(kernel_runs)
 
 def test_a_statistic_whose_default_window_passes_the_cap_still_returns(monkeypatch, kernel_runs):
     n, k, r = 300, 1, F(7, 3)
-    assert (distribution._head_window(n, k, r), distribution._head_window(n, k, r, max(DEFAULT_ZS))) == (96, 128)
-    # the 96-column window fits, the 128 does not
-    monkeypatch.setattr(distribution, "_HEAD_COST_CAP", distribution._kernel_cost(n, r, 101))
+    assert (distribution._head_window(n, k, r), distribution._head_window(n, k, r, max(DEFAULT_ZS))) == (64, 99)
+    # the 64-column window fits, the 99 does not
+    monkeypatch.setattr(distribution, "_HEAD_COST_CAP", distribution._kernel_cost(n, r, 81))
     with fresh_cache() as cache:
-        # the values of a run 128 columns wide, now from one run sized at the cap
+        # the values of a run 100 columns wide, now from one run sized at the cap
         assert kolmogorov_distance(n, k, r) == 0.5229650775954048
         assert llt_sup_gap(n, k, r) == 0.20403229106066323
         assert mode_exact(n, k, r) == {13}
-        assert len(cache.get(("prefix", n, r))) == 101
+        assert len(cache.get(("prefix", n, r))) == 81
         with pytest.raises(CapacityExceeded):
             mod_poisson_residual(n, k, r, max(DEFAULT_ZS))
     assert kernel_runs == [(n, r)]
@@ -913,10 +925,10 @@ def test_no_kernel_run_is_wider_than_its_admitted_request(monkeypatch):
     requests = [
         (300, 1, 60),
         (300, 1, 70),  # twice the cached width would be 120 > widest(300)
-        (300, 2, None),  # _window_head: 96 columns, floored at the cap's 100
+        (300, 2, None),  # _window_head: 60 columns, within the cached 70
         (300, 0, 100),
         (301, 1, 80),  # stepped up from row 300
-        (250, 0, None),
+        (250, 0, None),  # _window_head: 33 columns, floored at the z = 1 window's 46
     ]
     with fresh_cache():
         for n, k, j_hi in requests:
@@ -927,7 +939,7 @@ def test_no_kernel_run_is_wider_than_its_admitted_request(monkeypatch):
             else:
                 pmf_head(n, k, r, j_hi)
             assert all(w <= max(j_hi, floor) and w <= widest(n) for w in widths[before:]), (n, k, widths)
-    assert widths == [60, 70, 100, 80, 64]
+    assert widths == [60, 70, 100, 80, 46]
 
 
 def test_the_sum_check_fires_on_the_first_full_width_read(monkeypatch):
